@@ -111,14 +111,19 @@ PYEOF
 run_leg "sequential" 1
 run_leg "parallel x$SIM_THREADS" "$SIM_THREADS"
 
+# The CPU count of the measuring machine, as BENCH_multiproc.json
+# records it: wall seconds are only comparable between like machines.
+CPUS=$(nproc 2>/dev/null || echo 1)
+
 cat > "$OUT_JSON" <<EOF
 {
   "schema": "cta-sim-hotpath-v2",
   "benchmark": "fig13_main_comparison",
+  "cpus": $CPUS,
   "entries": [
     $ENTRIES
   ]
 }
 EOF
 
-echo "perf_smoke: wrote $OUT_JSON"
+echo "perf_smoke: wrote $OUT_JSON (cpus=$CPUS)"

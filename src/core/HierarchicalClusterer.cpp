@@ -7,13 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 using namespace cta;
 
 namespace {
 
 obs::Counter NumMerges("clusterer.merges");
+obs::Counter NumZeroAffinityMerges("clusterer.zero-affinity-merges");
 obs::Counter NumClusterSplits("clusterer.cluster-splits");
 obs::Counter NumGroupSplits("clusterer.group-splits");
 obs::Counter NumEvictions("clusterer.balance-evictions");
@@ -31,31 +31,262 @@ struct Cluster {
     GroupIds.push_back(Id);
     Size += G.size();
   }
-
-  void absorb(Cluster &&Other) {
-    GroupIds.insert(GroupIds.end(), Other.GroupIds.begin(),
-                    Other.GroupIds.end());
-    Size += Other.Size;
-  }
 };
 
-/// Heap entry for the agglomerative merge, with lazy invalidation through
-/// per-cluster version counters. Ids and versions are 16 bit (both are
-/// bounded by the cluster count, which mergeDown checks) so an entry is
-/// 24 bytes: the heap holds O(N^2) entries and sift cost is memory bound.
+/// One nonzero entry of a cluster's affinity row.
+struct Affinity {
+  std::uint32_t Peer;
+  std::uint64_t Dot;
+};
+
+/// Merge-heap entry, invalidated lazily through per-cluster versions.
+/// Zero-affinity candidates carry Dot = 0 and an adjacent pair A < B.
 struct MergeCandidate {
   std::uint64_t Dot;
-  std::uint64_t TieBreakSize; // prefer merging smaller clusters on ties
-  std::uint16_t A, B;
-  std::uint16_t VerA, VerB;
+  std::uint64_t Size; // combined iteration count
+  std::uint32_t A, B;
+  std::uint32_t VerA, VerB;
+};
 
-  bool operator<(const MergeCandidate &RHS) const {
-    if (Dot != RHS.Dot)
-      return Dot < RHS.Dot; // max-heap on affinity
-    return TieBreakSize > RHS.TieBreakSize;
+/// The heap order: true when \p L merges after \p R. Dot descending,
+/// combined size ascending, then A and B ascending: a total order on
+/// pairs, so no valid entry ties with another.
+bool mergesAfter(const MergeCandidate &L, const MergeCandidate &R) {
+  if (L.Dot != R.Dot)
+    return L.Dot < R.Dot;
+  if (L.Size != R.Size)
+    return L.Size > R.Size;
+  if (L.A != R.A)
+    return L.A > R.A;
+  return L.B > R.B;
+}
+
+/// State of one mergeByAffinity call. Time and memory grow with the
+/// nonzero-affinity pairs (plus the cluster and block counts), not N^2.
+class AffinityMerger {
+  std::vector<std::vector<std::uint32_t>> Members;
+  std::vector<std::uint64_t> Size;
+  std::vector<std::uint32_t> Version;
+  std::vector<bool> Alive;
+  /// Per cluster, its nonzero dots sorted by peer id.
+  std::vector<std::vector<Affinity>> Rows;
+  std::vector<Affinity> Scratch;
+  /// Alive pairs with nonzero dot; each has exactly one valid heap entry.
+  std::uint64_t LivePairs = 0;
+  std::vector<MergeCandidate> Heap;
+  /// Neighbours in id order among alive clusters (zero-affinity phase).
+  std::vector<std::uint32_t> Prev, Next;
+
+public:
+  AffinityMerger(const std::vector<IterationGroup> &Groups,
+                 const std::vector<std::uint32_t> &GroupIds)
+      : Members(GroupIds.size()), Size(GroupIds.size()),
+        Version(GroupIds.size(), 0), Alive(GroupIds.size(), true),
+        Rows(GroupIds.size()) {
+    const std::uint32_t N = GroupIds.size();
+    std::uint32_t NumBlockIds = 0;
+    for (std::uint32_t I = 0; I != N; ++I) {
+      const IterationGroup &G = Groups[GroupIds[I]];
+      Members[I].push_back(GroupIds[I]);
+      Size[I] = G.size();
+      if (!G.Tag.empty())
+        NumBlockIds = std::max(NumBlockIds, G.Tag.ids().back() + 1);
+    }
+
+    // Seed the rows from the inverted block -> cluster index: a block
+    // held by c clusters contributes c(c-1)/2 unit products, but only
+    // nonzero dots are stored. Cluster A accumulates its dots with every
+    // higher id and mirrors them into those rows; A rises monotonically,
+    // so every row comes out sorted.
+    std::vector<std::vector<std::uint32_t>> Occ(NumBlockIds);
+    for (std::uint32_t A = 0; A != N; ++A)
+      for (std::uint32_t B : Groups[GroupIds[A]].Tag.ids())
+        Occ[B].push_back(A);
+    std::vector<std::uint32_t> Cursor(NumBlockIds, 0); // A's slot in Occ[B]
+    std::vector<std::uint64_t> Acc(N, 0);
+    std::vector<std::uint32_t> Touched;
+    for (std::uint32_t A = 0; A != N; ++A) {
+      for (std::uint32_t B : Groups[GroupIds[A]].Tag.ids()) {
+        const std::vector<std::uint32_t> &Holders = Occ[B];
+        for (std::size_t I = ++Cursor[B], E = Holders.size(); I != E; ++I)
+          if (Acc[Holders[I]]++ == 0)
+            Touched.push_back(Holders[I]);
+      }
+      std::sort(Touched.begin(), Touched.end());
+      for (std::uint32_t P : Touched) {
+        Rows[A].push_back({P, Acc[P]});
+        Rows[P].push_back({A, Acc[P]});
+        push(A, P, Acc[P]);
+        Acc[P] = 0;
+      }
+      LivePairs += Touched.size();
+      Touched.clear();
+    }
+    std::make_heap(Heap.begin(), Heap.end(), mergesAfter);
+  }
+
+  void run(unsigned K) {
+    std::uint32_t AliveCount = Members.size();
+    std::uint64_t ZeroMerges = 0;
+    while (AliveCount > K) {
+      MergeCandidate Top{};
+      if (!popValid(Top)) {
+        // No nonzero pair is left, and merging cannot create one.
+        ZeroMerges = AliveCount - K;
+        startZeroAffinityPhase();
+        popValid(Top);
+      }
+      merge(Top.A, Top.B);
+      --AliveCount;
+      ++NumMerges;
+    }
+    // Bumped even when zero, so the counter sits beside clusterer.merges
+    // in every run that merged.
+    NumZeroAffinityMerges += ZeroMerges;
+  }
+
+  std::vector<std::vector<std::uint32_t>> takeClusters() {
+    std::vector<std::vector<std::uint32_t>> Out;
+    for (std::uint32_t I = 0, E = Members.size(); I != E; ++I)
+      if (Alive[I])
+        Out.push_back(std::move(Members[I]));
+    return Out;
+  }
+
+private:
+  /// Queues the pair (A, B) at the current sizes and versions (pushes
+  /// onto the heap vector; the caller restores the heap property).
+  void push(std::uint32_t A, std::uint32_t B, std::uint64_t Dot) {
+    if (A > B)
+      std::swap(A, B);
+    Heap.push_back({Dot, Size[A] + Size[B], A, B, Version[A], Version[B]});
+  }
+
+  bool valid(const MergeCandidate &C) const {
+    return Alive[C.A] && Alive[C.B] && Version[C.A] == C.VerA &&
+           Version[C.B] == C.VerB;
+  }
+
+  /// Pops the best valid candidate into \p Top; false once none is left.
+  bool popValid(MergeCandidate &Top) {
+    while (!Heap.empty()) {
+      std::pop_heap(Heap.begin(), Heap.end(), mergesAfter);
+      Top = Heap.back();
+      Heap.pop_back();
+      if (valid(Top))
+        return true;
+    }
+    return false;
+  }
+
+  /// Links the alive clusters in id order and queues every adjacent pair.
+  void startZeroAffinityPhase() {
+    const std::uint32_t N = Members.size();
+    Prev.assign(N, UINT32_MAX);
+    Next.assign(N, UINT32_MAX);
+    std::uint32_t Last = UINT32_MAX;
+    for (std::uint32_t I = 0; I != N; ++I) {
+      if (!Alive[I])
+        continue;
+      if (Last != UINT32_MAX) {
+        Next[Last] = I;
+        Prev[I] = Last;
+        push(Last, I, 0);
+      }
+      Last = I;
+    }
+    std::make_heap(Heap.begin(), Heap.end(), mergesAfter);
+  }
+
+  /// Merges B into A (A < B) and queues the survivor's new candidates.
+  void merge(std::uint32_t A, std::uint32_t B) {
+    Members[A].insert(Members[A].end(), Members[B].begin(), Members[B].end());
+    std::vector<std::uint32_t>().swap(Members[B]);
+    Size[A] += Size[B];
+    Alive[B] = false;
+    ++Version[A];
+
+    if (!Prev.empty()) {
+      // Zero-affinity phase: B was A's right neighbour.
+      Next[A] = Next[B];
+      if (Next[B] != UINT32_MAX)
+        Prev[Next[B]] = A;
+      if (Prev[A] != UINT32_MAX)
+        pushHeap(Prev[A], A, 0);
+      if (Next[A] != UINT32_MAX)
+        pushHeap(A, Next[A], 0);
+      return;
+    }
+
+    // dot(A+B, X) = dot(A, X) + dot(B, X): fold B's row into A's, and
+    // retarget every row that named B.
+    std::vector<Affinity> &RowA = Rows[A];
+    std::vector<Affinity> &RowB = Rows[B];
+    const std::uint64_t OldEntries = RowA.size() + RowB.size();
+    bool SharedAB = false; // (A, B) sits in both rows
+    Scratch.clear();
+    auto I = RowA.begin(), IE = RowA.end();
+    auto J = RowB.begin(), JE = RowB.end();
+    while (I != IE || J != JE) {
+      Affinity Entry;
+      if (J == JE || (I != IE && I->Peer < J->Peer)) {
+        Entry = *I++;
+      } else if (I == IE || J->Peer < I->Peer) {
+        Entry = *J++;
+      } else {
+        Entry = {I->Peer, I->Dot + J->Dot};
+        ++I;
+        ++J;
+      }
+      if (Entry.Peer == A)
+        SharedAB = true;
+      else if (Entry.Peer != B)
+        Scratch.push_back(Entry);
+    }
+    for (const Affinity &E : RowB)
+      if (E.Peer != A)
+        retarget(Rows[E.Peer], A, B, E.Dot);
+    RowA.swap(Scratch);
+    std::vector<Affinity>().swap(RowB);
+    LivePairs = LivePairs + SharedAB + RowA.size() - OldEntries;
+
+    for (const Affinity &E : RowA)
+      pushHeap(A, E.Peer, E.Dot);
+    // Stale entries pile up when a cluster with many neighbours keeps
+    // merging; dropping them keeps the heap O(live pairs + N).
+    if (Heap.size() > 2 * LivePairs + Members.size()) {
+      Heap.erase(std::remove_if(Heap.begin(), Heap.end(),
+                                [&](const MergeCandidate &C) {
+                                  return !valid(C);
+                                }),
+                 Heap.end());
+      std::make_heap(Heap.begin(), Heap.end(), mergesAfter);
+    }
+  }
+
+  void pushHeap(std::uint32_t A, std::uint32_t B, std::uint64_t Dot) {
+    push(A, B, Dot);
+    std::push_heap(Heap.begin(), Heap.end(), mergesAfter);
+  }
+
+  /// In a row that holds B, moves B's dot onto A (A < B).
+  static void retarget(std::vector<Affinity> &Row, std::uint32_t A,
+                       std::uint32_t B, std::uint64_t Dot) {
+    auto ByPeer = [](const Affinity &E, std::uint32_t P) {
+      return E.Peer < P;
+    };
+    auto PosB = std::lower_bound(Row.begin(), Row.end(), B, ByPeer);
+    assert(PosB != Row.end() && PosB->Peer == B && "row lost its peer");
+    auto PosA = std::lower_bound(Row.begin(), PosB, A, ByPeer);
+    if (PosA != PosB && PosA->Peer == A) {
+      PosA->Dot += Dot;
+      Row.erase(PosB);
+      return;
+    }
+    std::rotate(PosA, PosB, PosB + 1);
+    *PosA = {A, Dot};
   }
 };
-static_assert(sizeof(MergeCandidate) == 24, "heap entry stays packed");
 
 class ClustererImpl {
   std::vector<IterationGroup> &Groups;
@@ -96,12 +327,13 @@ private:
     }
 
     unsigned K = N.Children.size();
-    std::vector<Cluster> Clusters = partition(std::move(GroupIds), K);
+    std::vector<Cluster> Clusters = partition(GroupIds, K);
 
     // Per-child iteration targets: this node's total split proportionally
     // to the cores each child serves (globally ideal when the parent level
     // balanced perfectly, and always feasible). Match bigger clusters to
-    // bigger-capacity children before balancing.
+    // bigger-capacity children before balancing. Both sorts are stable,
+    // so ties keep index order whatever the library's sort does.
     std::uint64_t NodeTotal = 0;
     for (const Cluster &C : Clusters)
       NodeTotal += C.Size;
@@ -110,18 +342,18 @@ private:
     std::vector<unsigned> ChildOrder(K);
     for (unsigned C = 0; C != K; ++C)
       ChildOrder[C] = C;
-    std::sort(ChildOrder.begin(), ChildOrder.end(),
-              [&](unsigned A, unsigned B) {
-                return Topo.node(N.Children[A]).Cores.size() >
-                       Topo.node(N.Children[B]).Cores.size();
-              });
+    std::stable_sort(ChildOrder.begin(), ChildOrder.end(),
+                     [&](unsigned A, unsigned B) {
+                       return Topo.node(N.Children[A]).Cores.size() >
+                              Topo.node(N.Children[B]).Cores.size();
+                     });
     std::vector<unsigned> ClusterOrder(K);
     for (unsigned C = 0; C != K; ++C)
       ClusterOrder[C] = C;
-    std::sort(ClusterOrder.begin(), ClusterOrder.end(),
-              [&](unsigned A, unsigned B) {
-                return Clusters[A].Size > Clusters[B].Size;
-              });
+    std::stable_sort(ClusterOrder.begin(), ClusterOrder.end(),
+                     [&](unsigned A, unsigned B) {
+                       return Clusters[A].Size > Clusters[B].Size;
+                     });
     std::vector<Cluster> Ordered(K);
     std::vector<unsigned> ChildOfCluster(K);
     for (unsigned R = 0; R != K; ++R) {
@@ -152,117 +384,20 @@ private:
 
   /// Splits \p GroupIds into exactly \p K clusters by agglomerative
   /// max-affinity merging (splitting when there are too few).
-  std::vector<Cluster> partition(std::vector<std::uint32_t> GroupIds,
+  std::vector<Cluster> partition(const std::vector<std::uint32_t> &GroupIds,
                                  unsigned K) {
     std::vector<Cluster> Clusters;
-    Clusters.reserve(GroupIds.size());
-    for (std::uint32_t Id : GroupIds) {
+    for (std::vector<std::uint32_t> &Ids :
+         mergeByAffinity(Groups, GroupIds, K)) {
       Cluster C;
-      C.addGroup(Id, Groups[Id]);
+      for (std::uint32_t Id : Ids)
+        C.Size += Groups[Id].size();
+      C.GroupIds = std::move(Ids);
       Clusters.push_back(std::move(C));
     }
-
-    if (Clusters.size() > K)
-      mergeDown(Clusters, K);
     while (Clusters.size() < K)
       splitLargest(Clusters);
     return Clusters;
-  }
-
-  void mergeDown(std::vector<Cluster> &Clusters, unsigned K) {
-    const std::uint32_t N = Clusters.size();
-    if (N > UINT16_MAX)
-      reportFatalError("too many clusters for the merge heap's 16-bit ids");
-    std::vector<std::uint16_t> Version(N, 0);
-    std::vector<bool> Alive(N, true);
-    std::vector<MergeCandidate> Store;
-    Store.reserve(static_cast<std::size_t>(N) * N);
-    std::priority_queue<MergeCandidate> Heap(std::less<MergeCandidate>(),
-                                             std::move(Store));
-
-    // Pairwise signature dot products, maintained incrementally: the dot
-    // is bilinear in the member tags, so dot(A+B, I) = dot(A, I) +
-    // dot(B, I) exactly. Seeding inverts tag->cluster (every block
-    // contributes occurrences^2 products) instead of N^2 merge-joins, and
-    // each merge folds the absorbed row into the survivor in O(N), where
-    // the old code recomputed N dots over ever-growing signatures.
-    std::vector<std::uint64_t> DotM(static_cast<std::size_t>(N) * N, 0);
-    {
-      std::vector<std::vector<std::uint32_t>> Occ(NumBlockIds);
-      for (std::uint32_t A = 0; A != N; ++A)
-        for (std::uint32_t B : Groups[Clusters[A].GroupIds[0]].Tag.ids())
-          Occ[B].push_back(A);
-      for (const std::vector<std::uint32_t> &V : Occ)
-        for (std::size_t I = 0, E = V.size(); I != E; ++I)
-          for (std::size_t J = I + 1; J != E; ++J) {
-            ++DotM[static_cast<std::size_t>(V[I]) * N + V[J]];
-            ++DotM[static_cast<std::size_t>(V[J]) * N + V[I]];
-          }
-    }
-
-    auto push = [&](std::uint32_t A, std::uint32_t B) {
-      std::uint64_t Dot = DotM[static_cast<std::size_t>(A) * N + B];
-      Heap.push({Dot, Clusters[A].Size + Clusters[B].Size,
-                 static_cast<std::uint16_t>(A), static_cast<std::uint16_t>(B),
-                 Version[A], Version[B]});
-    };
-    for (std::uint32_t A = 0; A != N; ++A)
-      for (std::uint32_t B = A + 1; B != N; ++B)
-        push(A, B);
-
-    std::uint32_t AliveCount = N;
-    while (AliveCount > K) {
-      std::uint32_t A = UINT32_MAX, B = UINT32_MAX;
-      while (!Heap.empty()) {
-        MergeCandidate Top = Heap.top();
-        Heap.pop();
-        if (!Alive[Top.A] || !Alive[Top.B] || Version[Top.A] != Top.VerA ||
-            Version[Top.B] != Top.VerB)
-          continue;
-        A = Top.A;
-        B = Top.B;
-        break;
-      }
-      if (A == UINT32_MAX) {
-        // No affinity left: merge the two smallest alive clusters to keep
-        // sizes balanced.
-        std::uint32_t S1 = UINT32_MAX, S2 = UINT32_MAX;
-        for (std::uint32_t I = 0; I != N; ++I) {
-          if (!Alive[I])
-            continue;
-          if (S1 == UINT32_MAX || Clusters[I].Size < Clusters[S1].Size) {
-            S2 = S1;
-            S1 = I;
-          } else if (S2 == UINT32_MAX ||
-                     Clusters[I].Size < Clusters[S2].Size) {
-            S2 = I;
-          }
-        }
-        A = S1;
-        B = S2;
-      }
-      Clusters[A].absorb(std::move(Clusters[B]));
-      for (std::uint32_t I = 0; I != N; ++I) {
-        DotM[static_cast<std::size_t>(A) * N + I] +=
-            DotM[static_cast<std::size_t>(B) * N + I];
-        DotM[static_cast<std::size_t>(I) * N + A] =
-            DotM[static_cast<std::size_t>(A) * N + I];
-      }
-      Alive[B] = false;
-      ++Version[A];
-      --AliveCount;
-      ++NumMerges;
-      for (std::uint32_t I = 0; I != N; ++I)
-        if (Alive[I] && I != A)
-          push(std::min(I, A), std::max(I, A));
-    }
-
-    std::vector<Cluster> Out;
-    Out.reserve(K);
-    for (std::uint32_t I = 0; I != N; ++I)
-      if (Alive[I])
-        Out.push_back(std::move(Clusters[I]));
-    Clusters = std::move(Out);
   }
 
   /// Adds one cluster by splitting the largest existing one. A multi-group
@@ -282,13 +417,13 @@ private:
     Cluster NewCluster;
     ++NumClusterSplits;
     if (Src.GroupIds.size() >= 2) {
-      // Greedy size bipartition: place groups (largest first) into the
-      // lighter side.
+      // Greedy size bipartition: place groups (largest first, equal sizes
+      // in member order) into the lighter side.
       std::vector<std::uint32_t> Ids = std::move(Src.GroupIds);
-      std::sort(Ids.begin(), Ids.end(),
-                [&](std::uint32_t A, std::uint32_t B) {
-                  return Groups[A].size() > Groups[B].size();
-                });
+      std::stable_sort(Ids.begin(), Ids.end(),
+                       [&](std::uint32_t A, std::uint32_t B) {
+                         return Groups[A].size() > Groups[B].size();
+                       });
       Cluster SideA, SideB;
       for (std::uint32_t Id : Ids) {
         Cluster &Side = SideA.Size <= SideB.Size ? SideA : SideB;
@@ -600,4 +735,12 @@ ClusteringResult cta::clusterForTopology(std::vector<IterationGroup> Groups,
   ClustererImpl Impl(Result.Groups, Topo, BalanceThreshold, Result);
   Impl.run();
   return Result;
+}
+
+std::vector<std::vector<std::uint32_t>>
+cta::mergeByAffinity(const std::vector<IterationGroup> &Groups,
+                     const std::vector<std::uint32_t> &GroupIds, unsigned K) {
+  AffinityMerger Merger(Groups, GroupIds);
+  Merger.run(std::max(K, 1u));
+  return Merger.takeClusters();
 }

@@ -49,6 +49,28 @@ ClusteringResult clusterForTopology(std::vector<IterationGroup> Groups,
                                     const CacheTopology &Topo,
                                     double BalanceThreshold);
 
+/// The agglomerative merge of Figure 6 at one cache-tree node, which
+/// clusterForTopology runs at every node with more groups than children.
+/// Starts from one singleton cluster per entry of \p GroupIds, whose
+/// position is the cluster's id (the node's cluster order), and merges
+/// until max(\p K, 1) clusters remain. A cluster's affinity to another is
+/// the dot product of their block-count signatures. Merges follow a total
+/// order, so the result depends on the inputs alone:
+///  1. While some alive pair has nonzero affinity, merge the pair with the
+///     largest dot, then the smallest combined iteration count, then the
+///     lowest id A, then the lowest id B (A < B).
+///  2. Then every alive pair has zero affinity, and merging keeps it zero
+///     (the dot is bilinear). Merge the pair of clusters adjacent in id
+///     order with the smallest combined iteration count, ties to the
+///     lower left id.
+/// The survivor of a merge keeps the lower id and appends the absorbed
+/// cluster's groups after its own. Returns the surviving clusters in id
+/// order, each as its group ids. Counts every merge in clusterer.merges
+/// and the phase-2 ones in clusterer.zero-affinity-merges.
+std::vector<std::vector<std::uint32_t>>
+mergeByAffinity(const std::vector<IterationGroup> &Groups,
+                const std::vector<std::uint32_t> &GroupIds, unsigned K);
+
 } // namespace cta
 
 #endif // CTA_CORE_HIERARCHICALCLUSTERER_H

@@ -48,7 +48,11 @@ namespace cta {
 /// per-core speed/disabled attributes (hashed per node), MappingOptions
 /// gains AdaptInterval, and two adaptive strategies extend the Strategy
 /// enum; entries hashed without these fields must not be replayed.
-inline constexpr std::uint64_t RunCacheFormatVersion = 6;
+/// Version 7: the Figure 6 merge follows a stated total order and merges
+/// zero-affinity clusters by an explicit adjacency rule, so
+/// TopologyAware, Combined and adaptive mappings changed for the same
+/// inputs; run artifacts gain clusterer.zero-affinity-merges.
+inline constexpr std::uint64_t RunCacheFormatVersion = 7;
 
 /// Feeds \p Prog into \p H: name, arrays, nests, bounds, accesses and the
 /// per-iteration compute cost.

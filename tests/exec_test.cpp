@@ -145,18 +145,20 @@ fingerprintWithVersion(std::uint64_t Version, const Program &Prog,
 }
 
 TEST(FingerprintTest, FormatVersionSaltMovesEveryKey) {
-  // The runtime/ adaptive layer bumped RunCacheFormatVersion from 5 to 6
-  // (topology nodes hash a per-core speed, options hash AdaptInterval),
-  // so entries produced by older engines can never be served. Keys minted
-  // under any old salt must not collide with current keys.
+  // The deterministic Figure 6 merge bumped RunCacheFormatVersion from 6
+  // to 7 (TopologyAware mappings changed for the same inputs), so entries
+  // produced by older mappers can never be served. Keys minted under any
+  // old salt must not collide with current keys.
   Program Prog = makeWorkload("cg");
   CacheTopology Topo = makeDunnington().scaledCapacity(1.0 / 32);
   MappingOptions Opts;
 
-  ASSERT_EQ(RunCacheFormatVersion, 6u);
+  ASSERT_EQ(RunCacheFormatVersion, 7u);
   std::uint64_t Current =
       runFingerprint(Prog, Topo, nullptr, Strategy::TopologyAware, Opts);
-  EXPECT_EQ(Current, fingerprintWithVersion(6, Prog, Topo,
+  EXPECT_EQ(Current, fingerprintWithVersion(7, Prog, Topo,
+                                            Strategy::TopologyAware, Opts));
+  EXPECT_NE(Current, fingerprintWithVersion(6, Prog, Topo,
                                             Strategy::TopologyAware, Opts));
   EXPECT_NE(Current, fingerprintWithVersion(5, Prog, Topo,
                                             Strategy::TopologyAware, Opts));
