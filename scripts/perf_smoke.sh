@@ -111,8 +111,8 @@ PYEOF
 run_leg "sequential" 1
 run_leg "parallel x$SIM_THREADS" "$SIM_THREADS"
 
-# The CPU count of the measuring machine, as BENCH_multiproc.json
-# records it: wall seconds are only comparable between like machines.
+# The CPU count of the measuring machine: wall seconds are only
+# comparable between like machines.
 CPUS=$(nproc 2>/dev/null || echo 1)
 
 cat > "$OUT_JSON" <<EOF

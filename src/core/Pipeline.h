@@ -44,7 +44,7 @@
 namespace cta {
 
 /// Mapping strategy selector. New entries append: the numeric values feed
-/// run fingerprints and the worker wire protocol.
+/// run fingerprints.
 enum class Strategy {
   Base,
   BasePlus,

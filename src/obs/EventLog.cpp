@@ -34,7 +34,7 @@ std::unique_ptr<EventLog> EventLog::open(const std::string &Path,
   return std::unique_ptr<EventLog>(new EventLog(File, Path));
 }
 
-std::string EventLog::formatLine(const Event &E, std::int64_t Pid) {
+void EventLog::log(const Event &E) {
   const double Ts =
       std::chrono::duration<double>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -46,7 +46,7 @@ std::string EventLog::formatLine(const Event &E, std::int64_t Pid) {
   W.key("ts");
   W.value(Ts);
   W.key("pid");
-  W.value(Pid);
+  W.value(static_cast<std::int64_t>(::getpid()));
   W.key("event");
   W.value(E.Name);
   if (E.TraceId) {
@@ -56,10 +56,6 @@ std::string EventLog::formatLine(const Event &E, std::int64_t Pid) {
   if (E.SpanId) {
     W.key("span_id");
     W.value(telemetryIdHex(E.SpanId));
-  }
-  if (E.ParentSpanId) {
-    W.key("parent_span_id");
-    W.value(telemetryIdHex(E.ParentSpanId));
   }
   if (!E.Id.empty()) {
     W.key("id");
@@ -73,27 +69,13 @@ std::string EventLog::formatLine(const Event &E, std::int64_t Pid) {
     W.key("detail");
     W.value(E.Detail);
   }
-  if (E.Shard >= 0) {
-    W.key("shard");
-    W.value(E.Shard);
-  }
-  if (E.Worker >= 0) {
-    W.key("worker");
-    W.value(E.Worker);
-  }
   if (E.Seconds >= 0.0) {
     W.key("seconds");
     W.value(E.Seconds);
   }
   W.endObject();
-  return W.str();
-}
+  const std::string &Line = W.str();
 
-void EventLog::log(const Event &E) {
-  logLine(formatLine(E, static_cast<std::int64_t>(::getpid())));
-}
-
-void EventLog::logLine(const std::string &Line) {
   std::lock_guard<std::mutex> Lock(Mutex);
   std::fwrite(Line.data(), 1, Line.size(), File);
   std::fputc('\n', File);

@@ -9,14 +9,14 @@
 /// named-counter map plus a list of phase records; sinks form a rollup
 /// hierarchy (run -> grid -> process): when a sink is destroyed (or
 /// rollUp() is called) its counters are merged into its parent, so the
-/// process-level root sink always ends up with the same totals the old
-/// process-global StatisticRegistry accumulated — while every run still
-/// owns a private, correctly attributed view of its own counters.
+/// process-level root sink always ends up with every counter bumped in
+/// the process — while every run still owns a private, correctly
+/// attributed view of its own counters.
 ///
 /// Attribution is scope based, not parameter based: installing a
 /// MetricScope makes a sink the calling thread's *current* sink, and all
-/// counter bumps (obs::Counter, the legacy Statistic shim) and phase
-/// records (ObsScope) on that thread land there until the scope closes.
+/// counter bumps (obs::Counter) and phase records (ObsScope) on that
+/// thread land there until the scope closes.
 /// This is what makes per-run attribution work on the exec/ thread pool —
 /// each worker thread wraps the task it executes in the task's own sink,
 /// and concurrent runs never interleave their counters.
@@ -110,8 +110,7 @@ public:
   /// concatenation). Idempotent; the destructor calls it.
   void rollUp();
 
-  /// Prints all counters to stderr, one "value name" line each (the old
-  /// StatisticRegistry::dump format).
+  /// Prints all counters to stderr, one "value name" line each.
   void dump() const;
 
   /// The process-level root sink, the rollup target of last resort and
@@ -137,10 +136,9 @@ public:
   MetricScope &operator=(const MetricScope &) = delete;
 };
 
-/// A named counter bound to the thread's current sink at bump time: the
-/// modern spelling of the old support/Statistic. File-local counters in
-/// algorithm code bump these, and attribution follows whatever MetricScope
-/// the executing thread is under.
+/// A named counter bound to the thread's current sink at bump time.
+/// File-local counters in algorithm code bump these, and attribution
+/// follows whatever MetricScope the executing thread is under.
 class Counter {
   const char *Name;
 

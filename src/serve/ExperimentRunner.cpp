@@ -8,7 +8,6 @@
 
 #include "exec/ExperimentRunner.h"
 
-#include "serve/Worker.h"
 #include "support/ErrorHandling.h"
 #include "support/ParseNumber.h"
 
@@ -38,12 +37,6 @@ ExecConfig cta::parseExecArgs(int argc, char **argv) {
   if (const char *Env = std::getenv("CTA_SIM_THREADS"))
     Config.SimThreads = static_cast<unsigned>(
         parseUint64OrDie("CTA_SIM_THREADS", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_WORKERS"))
-    Config.Workers = static_cast<unsigned>(
-        parseUint64OrDie("CTA_WORKERS", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_WORKER_SHARD_SIZE"))
-    Config.WorkerShardSize = static_cast<unsigned>(
-        parseUint64OrDie("CTA_WORKER_SHARD_SIZE", Env, /*Max=*/UINT_MAX));
   if (const char *Env = std::getenv("CTA_ADAPT_INTERVAL"))
     Config.AdaptInterval = static_cast<unsigned>(
         parseUint64OrDie("CTA_ADAPT_INTERVAL", Env, /*Max=*/UINT_MAX));
@@ -68,20 +61,11 @@ ExecConfig cta::parseExecArgs(int argc, char **argv) {
     return static_cast<unsigned>(
         parseUint64OrDie("--sim-threads", Value, /*Max=*/UINT_MAX));
   };
-  auto parseWorkers = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--workers", Value, /*Max=*/UINT_MAX));
-  };
-  auto parseShardSize = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--worker-shard-size", Value, /*Max=*/UINT_MAX));
-  };
   auto parseAdaptInterval = [](const char *Value) -> unsigned {
     return static_cast<unsigned>(
         parseUint64OrDie("--adapt-interval", Value, /*Max=*/UINT_MAX));
   };
 
-  bool WorkerProtocol = false;
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
     if (std::strncmp(Arg, "--jobs=", 7) == 0) {
@@ -96,18 +80,6 @@ ExecConfig cta::parseExecArgs(int argc, char **argv) {
       if (I + 1 >= argc)
         reportFatalError("--sim-threads needs a value");
       Config.SimThreads = parseSimThreads(argv[++I]);
-    } else if (std::strncmp(Arg, "--workers=", 10) == 0) {
-      Config.Workers = parseWorkers(Arg + 10);
-    } else if (std::strcmp(Arg, "--workers") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--workers needs a value");
-      Config.Workers = parseWorkers(argv[++I]);
-    } else if (std::strncmp(Arg, "--worker-shard-size=", 20) == 0) {
-      Config.WorkerShardSize = parseShardSize(Arg + 20);
-    } else if (std::strcmp(Arg, "--worker-shard-size") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--worker-shard-size needs a value");
-      Config.WorkerShardSize = parseShardSize(argv[++I]);
     } else if (std::strncmp(Arg, "--adapt-interval=", 17) == 0) {
       Config.AdaptInterval = parseAdaptInterval(Arg + 17);
     } else if (std::strcmp(Arg, "--adapt-interval") == 0) {
@@ -120,8 +92,6 @@ ExecConfig cta::parseExecArgs(int argc, char **argv) {
       if (I + 1 >= argc)
         reportFatalError("--adapt-policy needs a value");
       Config.AdaptPolicy = parseAdaptPolicy("--adapt-policy", argv[++I]);
-    } else if (std::strcmp(Arg, "--cta-worker-protocol") == 0) {
-      WorkerProtocol = true;
     } else if (std::strncmp(Arg, "--cache-dir=", 12) == 0) {
       Config.CacheDir = Arg + 12;
     } else if (std::strcmp(Arg, "--cache-dir") == 0) {
@@ -138,11 +108,6 @@ ExecConfig cta::parseExecArgs(int argc, char **argv) {
       Config.EmitJsonPath = argv[++I];
     }
   }
-  if (WorkerProtocol)
-    // The hidden worker entry: this process was spawned by a --workers
-    // parent (or `cta worker` forwarded the flag). It must never return
-    // into the host binary's own main logic.
-    std::exit(serve::runWorkerProtocol(Config));
   return Config;
 }
 
@@ -152,8 +117,6 @@ static serve::Service::Config toServiceConfig(const ExecConfig &C) {
   SC.CacheDir = C.CacheDir;
   SC.SkipOnShutdown = true;
   SC.SimThreads = C.SimThreads;
-  SC.Workers = C.Workers;
-  SC.WorkerShardSize = C.WorkerShardSize;
   return SC;
 }
 

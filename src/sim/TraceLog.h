@@ -41,6 +41,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -168,11 +169,13 @@ public:
 
   explicit TraceLog(TraceConfig Config = {});
 
-  /// Ties the log to the machine it observes: allocates the per-node
-  /// structures. Called by MachineSim::setTraceLog; binding a second,
-  /// different topology is a fatal error (one log = one machine).
+  /// Ties the log to the machine it observes: keeps a copy of \p Topo
+  /// (reports read it after the simulation, when the caller's machine may
+  /// be gone) and allocates the per-node structures. Called by
+  /// MachineSim::setTraceLog; binding an equal topology again is a no-op,
+  /// binding a different one is a fatal error (one log = one machine).
   void bind(const CacheTopology &Topo);
-  bool bound() const { return Topo != nullptr; }
+  bool bound() const { return Topo.has_value(); }
   const CacheTopology &topology() const;
   const TraceConfig &config() const { return Config; }
 
@@ -265,7 +268,7 @@ private:
             std::uint64_t Cycle, std::uint64_t Payload);
 
   TraceConfig Config;
-  const CacheTopology *Topo = nullptr;
+  std::optional<CacheTopology> Topo;
   unsigned NumCores = 0;
 
   // Ring buffer.

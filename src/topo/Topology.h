@@ -38,6 +38,8 @@ struct CacheParams {
     std::uint64_t Sets = Lines / Assoc;
     return Sets == 0 ? 1 : static_cast<unsigned>(Sets);
   }
+
+  bool operator==(const CacheParams &) const = default;
 };
 
 /// A cache hierarchy tree rooted at off-chip memory.
@@ -57,6 +59,8 @@ public:
     /// Relative core speed for L1 nodes: 100 = nominal, 50 = half speed,
     /// 0 = disabled (the core accepts no work). Ignored on interior nodes.
     unsigned SpeedPercent = 100;
+
+    bool operator==(const Node &) const = default;
   };
 
 private:
@@ -82,6 +86,9 @@ public:
   void finalize();
 
   bool finalized() const { return Finalized; }
+
+  /// Structural equality: same name, tree, cache parameters and speeds.
+  bool operator==(const CacheTopology &) const = default;
   unsigned numNodes() const { return Nodes.size(); }
   unsigned numCores() const { return CoreToL1.size(); }
 

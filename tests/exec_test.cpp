@@ -6,7 +6,8 @@
 // ThreadPool (correctness under load, nesting, inline fallback), the
 // determinism guarantee (1-thread and N-thread grids produce
 // byte-identical results), and the persistent RunCache (round-trip,
-// corruption tolerance, warm reruns with zero simulator invocations).
+// corruption tolerance, warm reruns with zero simulator invocations, and
+// the two-process publish race on one shared cache directory).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,11 +22,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 using namespace cta;
@@ -382,6 +387,69 @@ TEST_F(RunCacheDiskTest, OldFormatVersionEntryMissesCleanly) {
   EXPECT_TRUE(Cache.lookup(OldKey).has_value());
 }
 
+class RunCacheRaceTest : public TempDirTest {};
+
+TEST_F(RunCacheRaceTest, ConcurrentPublishOneWinnerNoTornReads) {
+  // Two processes sharing one --cache-dir publish the same key at once.
+  // One real simulated result, so the entries have full-size payloads
+  // (counters, per-cache stats) rather than trivially small files.
+  ExecConfig Config;
+  Config.Jobs = 1;
+  ExperimentRunner Runner(Config);
+  RunTask Task =
+      makeRunTask(makeWorkload("cg"), makeDunnington().scaledCapacity(1.0 / 32),
+                  Strategy::TopologyAware, MappingOptions{}, "race/seed");
+  RunResult Seed = Runner.runOne(Task);
+  const std::string Expected = deterministicBytes(Seed);
+  const std::uint64_t Key = 0xC0FFEE;
+  std::filesystem::create_directories(Dir);
+
+  pid_t Child = ::fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0) {
+    // Child process: hammer the same key with a timing-divergent copy.
+    RunCache Cache(Dir);
+    RunResult Mine = Seed;
+    Mine.MappingSeconds = 9.0;
+    for (int I = 0; I != 200; ++I)
+      Cache.store(Key, Mine);
+    ::_exit(0);
+  }
+
+  RunCache Cache(Dir);
+  RunResult Mine = Seed;
+  Mine.MappingSeconds = 1.0;
+  int Valid = 0;
+  for (int I = 0; I != 200; ++I) {
+    Cache.store(Key, Mine);
+    if (std::optional<RunResult> Got = Cache.lookup(Key)) {
+      ++Valid;
+      // Whichever writer won, the entry is whole: deterministic fields
+      // match and the timing is one writer's value, never a blend.
+      EXPECT_EQ(deterministicBytes(*Got), Expected);
+      EXPECT_TRUE(Got->MappingSeconds == 1.0 || Got->MappingSeconds == 9.0)
+          << Got->MappingSeconds;
+    }
+  }
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Child, &Status, 0), Child);
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+  EXPECT_GT(Valid, 0);
+
+  // Exactly one winner on disk: the key's .run file, with every temporary
+  // renamed away.
+  int RunFiles = 0, TmpFiles = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    const std::string Name = Entry.path().filename().string();
+    if (Name.find(".tmp.") != std::string::npos)
+      ++TmpFiles;
+    else if (Name.size() > 4 && Name.substr(Name.size() - 4) == ".run")
+      ++RunFiles;
+  }
+  EXPECT_EQ(RunFiles, 1);
+  EXPECT_EQ(TmpFiles, 0);
+}
+
 TEST(RunCacheTest, DisabledCacheNeverHits) {
   RunCache Cache;
   EXPECT_FALSE(Cache.enabled());
@@ -651,64 +719,6 @@ TEST(ExperimentRunnerDeathTest, RejectsMalformedSimThreadsEnv) {
   ::unsetenv("CTA_SIM_THREADS");
 }
 
-TEST(ExperimentRunnerTest, ParseWorkersForms) {
-  {
-    const char *Argv[] = {"bench"};
-    ExecConfig C = parseExecArgs(1, const_cast<char **>(Argv));
-    EXPECT_EQ(C.Workers, 0u); // default: in-process execution
-    EXPECT_EQ(C.WorkerShardSize, 0u); // default: auto shard size
-  }
-  {
-    const char *Argv[] = {"bench", "--workers=3",
-                          "--worker-shard-size=2"};
-    ExecConfig C = parseExecArgs(3, const_cast<char **>(Argv));
-    EXPECT_EQ(C.Workers, 3u);
-    EXPECT_EQ(C.WorkerShardSize, 2u);
-  }
-  {
-    const char *Argv[] = {"bench", "--workers", "4", "--worker-shard-size",
-                          "8"};
-    ExecConfig C = parseExecArgs(5, const_cast<char **>(Argv));
-    EXPECT_EQ(C.Workers, 4u);
-    EXPECT_EQ(C.WorkerShardSize, 8u);
-  }
-  {
-    const char *Argv[] = {"bench"};
-    ::setenv("CTA_WORKERS", "2", 1);
-    ::setenv("CTA_WORKER_SHARD_SIZE", "5", 1);
-    ExecConfig C = parseExecArgs(1, const_cast<char **>(Argv));
-    ::unsetenv("CTA_WORKERS");
-    ::unsetenv("CTA_WORKER_SHARD_SIZE");
-    EXPECT_EQ(C.Workers, 2u);
-    EXPECT_EQ(C.WorkerShardSize, 5u);
-  }
-  {
-    // The flag overrides the environment — crucially including
-    // --workers=0: a spawned worker is launched with an explicit
-    // --workers=0 so an inherited CTA_WORKERS cannot make workers spawn
-    // workers recursively.
-    const char *Argv[] = {"bench", "--workers=0"};
-    ::setenv("CTA_WORKERS", "7", 1);
-    ExecConfig C = parseExecArgs(2, const_cast<char **>(Argv));
-    ::unsetenv("CTA_WORKERS");
-    EXPECT_EQ(C.Workers, 0u);
-  }
-}
-
-TEST(ExperimentRunnerDeathTest, RejectsMalformedWorkers) {
-  // Same strict-decimal contract as --jobs / --sim-threads.
-  const char *Suffix[] = {"bench", "--workers=4x"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Suffix)), "--workers");
-  const char *Garbage[] = {"bench", "--workers=auto"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Garbage)), "--workers");
-  const char *Negative[] = {"bench", "--workers=-1"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Negative)), "--workers");
-  const char *Overflow[] = {"bench", "--workers=99999999999999999999"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Overflow)), "--workers");
-  const char *Missing[] = {"bench", "--workers"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Missing)), "--workers");
-}
-
 TEST(ExperimentRunnerDeathTest, RejectsMalformedTelemetryServeFlags) {
   // The serve daemon's telemetry flags share the strict-decimal contract:
   // --metrics-port is a 16-bit port, --log-json needs a path.
@@ -723,17 +733,8 @@ TEST(ExperimentRunnerDeathTest, RejectsMalformedTelemetryServeFlags) {
                "--log-json");
 }
 
-TEST(ExperimentRunnerDeathTest, RejectsMalformedWorkerShardSize) {
-  const char *Suffix[] = {"bench", "--worker-shard-size=2x"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Suffix)),
-               "--worker-shard-size");
-  const char *Missing[] = {"bench", "--worker-shard-size"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Missing)),
-               "--worker-shard-size");
-}
-
 TEST(ExperimentRunnerDeathTest, RejectsMalformedAdaptInterval) {
-  // Same strict-decimal contract as --jobs / --workers.
+  // Same strict-decimal contract as --jobs / --sim-threads.
   const char *Suffix[] = {"bench", "--adapt-interval=4x"};
   EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Suffix)),
                "--adapt-interval");
@@ -778,17 +779,6 @@ TEST(ExperimentRunnerTest, ParsesAdaptFlags) {
   ExecConfig C = parseExecArgs(4, const_cast<char **>(Argv));
   EXPECT_EQ(C.AdaptInterval, 9u);
   EXPECT_EQ(C.AdaptPolicy, "mw");
-}
-
-TEST(ExperimentRunnerDeathTest, RejectsMalformedWorkersEnv) {
-  const char *Argv[] = {"bench"};
-  ::setenv("CTA_WORKERS", "3x", 1);
-  EXPECT_DEATH(parseExecArgs(1, const_cast<char **>(Argv)), "CTA_WORKERS");
-  ::unsetenv("CTA_WORKERS");
-  ::setenv("CTA_WORKER_SHARD_SIZE", "x", 1);
-  EXPECT_DEATH(parseExecArgs(1, const_cast<char **>(Argv)),
-               "CTA_WORKER_SHARD_SIZE");
-  ::unsetenv("CTA_WORKER_SHARD_SIZE");
 }
 
 } // namespace

@@ -588,6 +588,9 @@ TEST(ServeFlagsDeathTest, StrictNumericParsing) {
                "--max-batch");
   EXPECT_DEATH(parseServeArgs({}), "--socket");
   EXPECT_DEATH(parseServeArgs({"--socket", "s", "--bogus"}), "bogus");
+  // Removed flags are unknown flags, not silently ignored ones.
+  EXPECT_DEATH(parseServeArgs({"--socket", "s", "--workers", "2"}),
+               "unknown `cta serve` flag '--workers'");
 }
 
 TEST(ServeFlagsDeathTest, TelemetryFlagsParseStrictly) {

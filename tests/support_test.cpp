@@ -4,11 +4,8 @@
 #include "support/Diag.h"
 #include "support/ParseNumber.h"
 #include "support/Random.h"
-#include "support/Statistic.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
-
-#include "obs/MetricSink.h"
 
 #include <gtest/gtest.h>
 
@@ -91,30 +88,6 @@ TEST(Random, DoubleInUnitInterval) {
     EXPECT_GE(D, 0.0);
     EXPECT_LT(D, 1.0);
   }
-}
-
-TEST(Statistic, RegistryAccumulates) {
-  StatisticRegistry::get().clear();
-  Statistic S("test.counter");
-  ++S;
-  S += 4;
-  EXPECT_EQ(S.value(), 5u);
-  EXPECT_EQ(StatisticRegistry::get().lookup("test.counter"), 5u);
-  StatisticRegistry::get().clear();
-  EXPECT_EQ(S.value(), 0u);
-}
-
-TEST(Statistic, RegistryIsAViewOverTheRootSink) {
-  // The deprecated registry must observe exactly what the obs/ root sink
-  // holds: same counter store, not a parallel copy.
-  StatisticRegistry::get().clear();
-  obs::MetricSink::root().add("test.shim", 3);
-  EXPECT_EQ(StatisticRegistry::get().lookup("test.shim"), 3u);
-  StatisticRegistry::get().add("test.shim", 2);
-  EXPECT_EQ(obs::MetricSink::root().lookup("test.shim"), 5u);
-  EXPECT_EQ(StatisticRegistry::get().snapshot().at("test.shim"), 5u);
-  StatisticRegistry::get().clear();
-  EXPECT_EQ(obs::MetricSink::root().lookup("test.shim"), 0u);
 }
 
 TEST(ParseNumber, AcceptsPlainDecimals) {

@@ -7,12 +7,8 @@
 // (the thread-sanitizer CI job runs this binary), the cta-serve-stats-v1
 // and Prometheus renderings byte-for-byte, event-log line formatting and
 // field elision, and — end to end against a live daemon — that stats
-// frames are polls (not requests) and that trace_id/span_id propagate
-// through a real --workers round trip into one cross-process span tree.
-//
-// Provides its own main() (worker_test pattern): argv routes through
-// parseExecArgs first so --cta-worker-protocol re-execution turns the
-// binary into a worker for the cross-process propagation test.
+// frames are polls (not requests) and that one cold request's lifecycle
+// events share a single trace_id and span_id.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +18,6 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Shutdown.h"
-
-#include "exec/ExperimentRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -41,15 +35,6 @@
 #include <map>
 #include <thread>
 #include <vector>
-
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CTA_UNDER_TSAN 1
-#endif
-#endif
-#if !defined(CTA_UNDER_TSAN) && defined(__SANITIZE_THREAD__)
-#define CTA_UNDER_TSAN 1
-#endif
 
 using namespace cta;
 using namespace cta::obs;
@@ -218,32 +203,46 @@ TEST(TelemetrySnapshotTest, PrometheusRenderingIsCumulative) {
 // Event log
 //===----------------------------------------------------------------------===//
 
-TEST(EventLogTest, FormatLineEmitsSetFieldsAndElidesDefaults) {
-  Event E;
-  E.Name = "dispatched";
-  E.TraceId = 0xabcdef0123456789ull;
-  E.SpanId = 0x42;
-  E.Id = "r1";
-  E.Detail = "miss";
-  E.Shard = 3;
-  std::string Line = EventLog::formatLine(E, /*Pid=*/777);
+TEST(EventLogTest, LogLineEmitsSetFieldsAndElidesDefaults) {
+  const std::string Path =
+      (std::filesystem::temp_directory_path() /
+       ("cta-eventlog-test-" +
+        std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+        ".jsonl"))
+          .string();
+  std::filesystem::remove(Path);
+  {
+    std::string Err;
+    std::unique_ptr<EventLog> Log = EventLog::open(Path, &Err);
+    ASSERT_NE(Log, nullptr) << Err;
+    Event E;
+    E.Name = "dispatched";
+    E.TraceId = 0xabcdef0123456789ull;
+    E.SpanId = 0x42;
+    E.Id = "r1";
+    E.Detail = "miss";
+    Log->log(E);
+  }
+  std::ifstream In(Path);
+  std::string Line;
+  ASSERT_TRUE(std::getline(In, Line));
+  std::string Rest;
+  EXPECT_FALSE(std::getline(In, Rest)) << "one event, one line";
+  std::filesystem::remove(Path);
 
   std::string Err;
   std::optional<serve::JsonValue> Doc = serve::parseJson(Line, &Err);
   ASSERT_TRUE(Doc.has_value()) << Err;
   EXPECT_EQ(Doc->get("schema")->asString(), "cta-serve-event-v1");
   EXPECT_GT(Doc->get("ts")->asNumber(), 0.0);
-  EXPECT_EQ(Doc->get("pid")->asNumber(), 777.0);
+  EXPECT_EQ(Doc->get("pid")->asNumber(), static_cast<double>(::getpid()));
   EXPECT_EQ(Doc->get("event")->asString(), "dispatched");
   EXPECT_EQ(Doc->get("trace_id")->asString(), "abcdef0123456789");
   EXPECT_EQ(Doc->get("span_id")->asString(), "0000000000000042");
   EXPECT_EQ(Doc->get("id")->asString(), "r1");
   EXPECT_EQ(Doc->get("detail")->asString(), "miss");
-  EXPECT_EQ(Doc->get("shard")->asNumber(), 3.0);
   // Unset fields are elided, not emitted as zeros.
-  EXPECT_EQ(Doc->get("parent_span_id"), nullptr);
   EXPECT_EQ(Doc->get("client"), nullptr);
-  EXPECT_EQ(Doc->get("worker"), nullptr);
   EXPECT_EQ(Doc->get("seconds"), nullptr);
 }
 
@@ -262,7 +261,7 @@ TEST(EventLogTest, OpenFailureNamesThePath) {
 }
 
 //===----------------------------------------------------------------------===//
-// Live daemon: stats frames and cross-process span propagation
+// Live daemon: stats frames and request span identity
 //===----------------------------------------------------------------------===//
 
 class DaemonTest : public ::testing::Test {
@@ -284,13 +283,12 @@ protected:
     std::filesystem::create_directories(Dir);
   }
 
-  void startDaemon(unsigned Workers, bool WithEventLog) {
+  void startDaemon(bool WithEventLog) {
     serve::installShutdownSignalHandlers();
     serve::resetShutdownForTest();
     serve::ServerOptions Opts;
     Opts.SocketPath = Dir + "/daemon.sock";
     Opts.Jobs = 2;
-    Opts.Workers = Workers;
     Opts.CacheDir = Dir + "/cache";
     if (WithEventLog)
       Opts.LogJsonPath = Dir + "/events.jsonl";
@@ -358,7 +356,7 @@ protected:
 };
 
 TEST_F(DaemonTest, StatsFramesArePollsNotRequests) {
-  startDaemon(/*Workers=*/0, /*WithEventLog=*/false);
+  startDaemon(/*WithEventLog=*/false);
   int Fd = connect();
   ASSERT_GE(Fd, 0);
 
@@ -409,7 +407,7 @@ TEST_F(DaemonTest, StatsFramesArePollsNotRequests) {
 }
 
 TEST_F(DaemonTest, ServerLatencySplitAgreesWithClientWall) {
-  startDaemon(/*Workers=*/0, /*WithEventLog=*/false);
+  startDaemon(/*WithEventLog=*/false);
   int Fd = connect();
   ASSERT_GE(Fd, 0);
 
@@ -432,11 +430,8 @@ TEST_F(DaemonTest, ServerLatencySplitAgreesWithClientWall) {
   ::close(Fd);
 }
 
-TEST_F(DaemonTest, TraceIdsPropagateAcrossWorkerRoundTrip) {
-#ifdef CTA_UNDER_TSAN
-  GTEST_SKIP() << "fork+exec worker transport is not TSan-instrumentable";
-#else
-  startDaemon(/*Workers=*/2, /*WithEventLog=*/true);
+TEST_F(DaemonTest, ColdRequestEventsShareOneSpan) {
+  startDaemon(/*WithEventLog=*/true);
   int Fd = connect();
   ASSERT_GE(Fd, 0);
   serve::JsonValue Cold = sendRecv(Fd, minimalRequest(",\"id\":\"r1\""));
@@ -445,64 +440,39 @@ TEST_F(DaemonTest, TraceIdsPropagateAcrossWorkerRoundTrip) {
   ::close(Fd);
   stopDaemon(); // drains and flushes the event log
 
-  // Reassemble the request's span tree from the log.
+  // Collect r1's lifecycle from the log.
   std::ifstream In(Dir + "/events.jsonl");
   ASSERT_TRUE(In.is_open());
-  std::string TraceId, RequestSpan;
-  double ParentPid = -1;
-  std::vector<serve::JsonValue> Events;
+  std::map<std::string, serve::JsonValue> ByName;
   for (std::string Line; std::getline(In, Line);) {
     std::string Err;
     std::optional<serve::JsonValue> Doc = serve::parseJson(Line, &Err);
     ASSERT_TRUE(Doc.has_value()) << Err << " in: " << Line;
     EXPECT_EQ(Doc->get("schema")->asString(), "cta-serve-event-v1");
-    if (Doc->get("event")->asString() == "admitted" &&
-        Doc->get("id")->asString() == "r1") {
-      TraceId = Doc->get("trace_id")->asString();
-      RequestSpan = Doc->get("span_id")->asString();
-      ParentPid = Doc->get("pid")->asNumber();
-    }
-    Events.push_back(*Doc);
+    if (Doc->get("id") && Doc->get("id")->asString() == "r1")
+      ByName.emplace(Doc->get("event")->asString(), *Doc);
   }
-  ASSERT_FALSE(TraceId.empty()) << "no admitted event for r1";
 
-  // The worker-side task_completed joins the parent's tree: same
-  // trace_id, parent_span_id naming the request's span, a different pid
-  // (it really crossed a process boundary), and a span duration.
-  bool FoundWorkerSpan = false;
-  std::map<std::string, int> Names;
-  for (const serve::JsonValue &E : Events) {
-    ++Names[E.get("event")->asString()];
-    if (E.get("event")->asString() != "task_completed")
-      continue;
-    ASSERT_NE(E.get("trace_id"), nullptr);
-    if (E.get("trace_id")->asString() != TraceId)
-      continue;
-    FoundWorkerSpan = true;
-    EXPECT_EQ(E.get("parent_span_id")->asString(), RequestSpan);
-    EXPECT_NE(E.get("pid")->asNumber(), ParentPid);
-    EXPECT_GE(E.get("seconds")->asNumber(-1), 0.0);
+  // Admitted, dispatched and completed all name one trace and one span.
+  for (const char *Name : {"admitted", "dispatched", "completed"})
+    ASSERT_TRUE(ByName.count(Name)) << "no " << Name << " event for r1";
+  const serve::JsonValue &Admitted = ByName.at("admitted");
+  ASSERT_NE(Admitted.get("trace_id"), nullptr);
+  ASSERT_NE(Admitted.get("span_id"), nullptr);
+  const std::string TraceId = Admitted.get("trace_id")->asString();
+  const std::string SpanId = Admitted.get("span_id")->asString();
+  EXPECT_EQ(TraceId.size(), 16u);
+  EXPECT_EQ(SpanId.size(), 16u);
+  for (const char *Name : {"dispatched", "completed"}) {
+    const serve::JsonValue &E = ByName.at(Name);
+    ASSERT_NE(E.get("trace_id"), nullptr) << Name;
+    ASSERT_NE(E.get("span_id"), nullptr) << Name;
+    EXPECT_EQ(E.get("trace_id")->asString(), TraceId) << Name;
+    EXPECT_EQ(E.get("span_id")->asString(), SpanId) << Name;
   }
-  EXPECT_TRUE(FoundWorkerSpan)
-      << "no worker-side task_completed joined trace " << TraceId;
-
-  // The request lifecycle is complete: admitted -> dispatched ->
-  // shard activity -> completed.
-  EXPECT_GE(Names["admitted"], 1);
-  EXPECT_GE(Names["dispatched"], 1);
-  EXPECT_GE(Names["shard_dispatched"], 1);
-  EXPECT_GE(Names["shard_completed"], 1);
-  EXPECT_GE(Names["completed"], 1);
-#endif
+  EXPECT_EQ(ByName.at("dispatched").get("detail")->asString(), "miss");
+  EXPECT_EQ(ByName.at("completed").get("detail")->asString(), "miss");
+  EXPECT_GE(ByName.at("completed").get("seconds")->asNumber(-1), 0.0);
 }
 
 } // namespace
-
-int main(int argc, char **argv) {
-  // Route argv through parseExecArgs BEFORE gtest: when ProcessTransport
-  // re-executes this binary with --cta-worker-protocol, parseExecArgs
-  // turns it into a worker process and never returns.
-  (void)cta::parseExecArgs(argc, argv);
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -4,7 +4,8 @@
 //
 // Covers the PR 5 tracing layer: the Bennett-Kruskal reuse-distance
 // profiler against hand-computed stack distances, ring-buffer overflow
-// semantics (drop oldest, count drops, keep aggregates exact), the
+// semantics (drop oldest, count drops, keep aggregates exact), binding
+// (the log keeps its own copy of the machine and refuses a second one), the
 // engine-independence guarantee (fast probe() path and the reference
 // access()+fill() path emit identical event streams whose totals
 // reconcile one-for-one with the per-cache statistics counters), the
@@ -206,6 +207,33 @@ TEST(TraceLogTest, RingOverflowDropsOldestWithCount) {
   EXPECT_EQ(Spans[0][0].StartCycle, 0u);
   EXPECT_EQ(Spans[0][0].EndCycle, 95u);
   EXPECT_FALSE(Spans[1][0].active());
+}
+
+//===----------------------------------------------------------------------===//
+// Binding
+//===----------------------------------------------------------------------===//
+
+TEST(TraceLogTest, OutlivesTheTopologyItWasBoundTo) {
+  // Reports read the log after the run, when the machine the simulator
+  // observed (a task copy freed by the pool) may be gone.
+  TraceLog Log;
+  {
+    CacheTopology Topo = makeTinyTopology();
+    Log.bind(Topo);
+    CacheTopology Equal = Topo;
+    Log.bind(Equal); // an equal machine is the same machine
+  }
+  const CacheTopology Want = makeTinyTopology();
+  EXPECT_TRUE(Log.topology() == Want);
+  EXPECT_EQ(Log.nodeCounts().size(), Want.numNodes());
+}
+
+TEST(TraceLogDeathTest, RejectsASecondDifferentTopology) {
+  TraceLog Log;
+  Log.bind(makeTinyTopology());
+  CacheTopology Slower = makeTinyTopology();
+  Slower.setCoreSpeed(1, 50);
+  EXPECT_DEATH(Log.bind(Slower), "already bound to a different topology");
 }
 
 //===----------------------------------------------------------------------===//
