@@ -24,7 +24,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <string_view>
 #include <vector>
 
 using namespace cta;
@@ -146,10 +145,10 @@ BENCHMARK(BM_RunFingerprint);
 
 } // namespace
 
-// Hand-rolled BENCHMARK_MAIN(): the shared CTA exec flags (--jobs,
-// --cache-dir, --no-timing, --emit-json and their envs) are parsed and
-// stripped before google-benchmark sees argv, so running every bench with
-// the same flag set does not trip its unknown-flag rejection. --emit-json
+// Hand-rolled BENCHMARK_MAIN(): the shared CTA exec flags (the table in
+// exec/ExecConfig.h, and their envs) are parsed and stripped before
+// google-benchmark sees argv, so running every bench with the same flag
+// set does not trip its unknown-flag rejection. --emit-json
 // writes a process-level artifact (counters the benchmarked components
 // bumped in the root sink); google-benchmark owns stdout as usual.
 int main(int argc, char **argv) {
@@ -158,17 +157,9 @@ int main(int argc, char **argv) {
   std::vector<char *> Filtered;
   Filtered.reserve(static_cast<std::size_t>(argc) + 1);
   for (int I = 0; I != argc; ++I) {
-    std::string_view Arg = argv[I];
-    if (Arg == "--no-timing")
-      continue;
-    if (Arg == "--jobs" || Arg == "--cache-dir" || Arg == "--emit-json") {
-      ++I; // skip the detached value (parseExecArgs validated it exists)
-      continue;
-    }
-    if (Arg.rfind("--jobs=", 0) == 0 || Arg.rfind("--cache-dir=", 0) == 0 ||
-        Arg.rfind("--emit-json=", 0) == 0)
-      continue;
-    Filtered.push_back(argv[I]);
+    const char *Value = nullptr;
+    if (I == 0 || matchExecFlag(argc, argv, I, Value) == nullptr)
+      Filtered.push_back(argv[I]);
   }
   Filtered.push_back(nullptr);
   int FilteredArgc = static_cast<int>(Filtered.size()) - 1;

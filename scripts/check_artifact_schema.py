@@ -70,31 +70,21 @@ def check_counters(obj, path):
 def check_engine_counters(obj, path):
     """Consistency of the simulator-engine observability counters.
 
-    The engines publish families of counters that only make sense
-    together: a run that went through the batched sequential path bumps
-    both sim.batch.rows and sim.batch.accesses (and simulates at least
-    one access per batched row); a run that went through the
-    epoch-parallel engine reports its arena footprint and deferred-work
-    sizes alongside sim.parallel.runs. A family member appearing alone
-    means an engine stopped publishing half its telemetry.
+    Every simulation publishes one family: sim.parallel.runs plus the
+    record footprint (sim.parallel.record-bytes) and the deferred-work
+    sizes (sim.parallel.deferred-probes, sim.parallel.deferred-iters). A
+    family member appearing alone means the engine stopped publishing
+    half its telemetry.
     """
     if not isinstance(obj, dict):
         return
-    if "sim.batch.rows" in obj or "sim.batch.accesses" in obj:
-        for key in ("sim.batch.rows", "sim.batch.accesses"):
-            if key not in obj:
-                err(path, f"batched-engine counters incomplete: '{key}' "
-                    "missing")
-        if obj.get("sim.batch.accesses", 0) < obj.get("sim.batch.rows", 0):
-            err(path, "sim.batch.accesses < sim.batch.rows")
     parallel = [k for k in obj if k.startswith("sim.parallel.")]
     if parallel:
-        for key in ("sim.parallel.runs", "sim.parallel.arena-bytes",
+        for key in ("sim.parallel.runs", "sim.parallel.record-bytes",
                     "sim.parallel.deferred-probes",
                     "sim.parallel.deferred-iters"):
             if key not in obj:
-                err(path, f"parallel-engine counters incomplete: '{key}' "
-                    "missing")
+                err(path, f"engine counters incomplete: '{key}' missing")
         if obj.get("sim.parallel.runs", 0) == 0:
             err(path, "sim.parallel.* counters present but "
                 "sim.parallel.runs is 0")

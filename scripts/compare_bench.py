@@ -14,12 +14,12 @@ against the committed baseline (BASELINE) and fails when
  * the benchmark names differ.
 
 cta-sim-hotpath-v2 documents carry an "entries" list — one entry per
-engine configuration (sequential, --sim-threads=N). Every baseline
+phase-1 thread count (--sim-threads=1, --sim-threads=N). Every baseline
 entry is gated independently against the fresh entry with the same
 sim_threads, and all entries within one file must agree on
-simulated_accesses: the engines are bit-exact by contract, so a
-drifting access count means an engine simulated different work, which
-is a correctness failure, not noise.
+simulated_accesses: results are bit-exact across thread counts by
+contract, so a drifting access count means a thread count simulated
+different work, which is a correctness failure, not noise.
 
 When both files are cta-serve-bench-v1 documents (the `cta client`
 load report), the gated metric is requests_per_second instead — a
@@ -144,14 +144,14 @@ def compare_hotpath_v2(base, fresh, max_regress):
     if not isinstance(fresh_entries, list) or not fresh_entries:
         die("fresh has no entries", 2)
 
-    # The engines are bit-exact by contract: every entry in one file must
-    # have simulated the exact same accesses.
+    # Thread counts are bit-exact by contract: every entry in one file
+    # must have simulated the exact same accesses.
     for name, entries in (("baseline", base_entries),
                           ("fresh", fresh_entries)):
         counts = {e.get("simulated_accesses") for e in entries}
         if len(counts) != 1:
             die(f"{name} entries disagree on simulated_accesses "
-                f"({sorted(counts)}) — the engines diverged, this is a "
+                f"({sorted(counts)}) — thread counts diverged, this is a "
                 "bit-exactness failure, not noise")
 
     fresh_by_threads = {e.get("sim_threads"): e for e in fresh_entries}

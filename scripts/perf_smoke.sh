@@ -2,11 +2,13 @@
 #===- scripts/perf_smoke.sh - Simulator hot-path perf smoke --------------===#
 #
 # Runs the heaviest bench binary (fig13_main_comparison) cold on one job,
-# once per engine — the sequential batched path and the epoch-parallel
-# path (--sim-threads) — and records both as entries in
-# BENCH_sim_hotpath.json. Wall time and accesses/second are
-# informational — CI machines vary too much for a hard threshold — so
-# this script fails only when the binary itself fails, never on timing.
+# once with the engine's phase 1 on one thread and once spread over
+# several (--sim-threads), and records both as entries in
+# BENCH_sim_hotpath.json. The two legs must print byte-identical tables:
+# the thread count may change wall time only. Wall time and
+# accesses/second are informational — CI machines vary too much for a
+# hard threshold — so this script fails when the binary fails or the
+# legs disagree, never on timing.
 #
 # simulated_accesses and accesses_per_second come from the bench's own
 # --emit-json artifact (the obs/ counters and the summed "sim.execute"
@@ -33,11 +35,12 @@ fi
 
 # One cold leg: throwaway cache directory and a single worker so the
 # measurement is the raw single-run simulation path. Arguments: a label
-# for log lines and the --sim-threads value. Each leg appends one JSON
-# object to the ENTRIES accumulator.
+# for log lines, the --sim-threads value and the file that receives the
+# bench's stdout. Each leg appends one JSON object to the ENTRIES
+# accumulator.
 ENTRIES=""
 run_leg() {
-  local LABEL="$1" THREADS="$2"
+  local LABEL="$1" THREADS="$2" STDOUT_FILE="$3"
   local CACHE_DIR STDERR_LOG ARTIFACT
   CACHE_DIR="$(mktemp -d)"
   STDERR_LOG="$(mktemp)"
@@ -47,7 +50,7 @@ run_leg() {
   START_NS=$(date +%s%N)
   if ! "$BENCH" --jobs=1 --cache-dir="$CACHE_DIR" --no-timing \
       --sim-threads="$THREADS" \
-      --emit-json="$ARTIFACT" >/dev/null 2>"$STDERR_LOG"; then
+      --emit-json="$ARTIFACT" >"$STDOUT_FILE" 2>"$STDERR_LOG"; then
     echo "perf_smoke: fig13_main_comparison failed ($LABEL)" >&2
     cat "$STDERR_LOG" >&2
     rm -rf "$CACHE_DIR" "$STDERR_LOG" "$ARTIFACT"
@@ -108,8 +111,17 @@ PYEOF
   echo "perf_smoke: $LABEL: ${WALL_S}s wall, $METRICS"
 }
 
-run_leg "sequential" 1
-run_leg "parallel x$SIM_THREADS" "$SIM_THREADS"
+ONE_OUT="$(mktemp)"
+MANY_OUT="$(mktemp)"
+run_leg "1 thread" 1 "$ONE_OUT"
+run_leg "$SIM_THREADS threads" "$SIM_THREADS" "$MANY_OUT"
+if ! cmp -s "$ONE_OUT" "$MANY_OUT"; then
+  echo "perf_smoke: --sim-threads=$SIM_THREADS changed the tables:" >&2
+  diff "$ONE_OUT" "$MANY_OUT" >&2
+  rm -f "$ONE_OUT" "$MANY_OUT"
+  exit 1
+fi
+rm -f "$ONE_OUT" "$MANY_OUT"
 
 # The CPU count of the measuring machine: wall seconds are only
 # comparable between like machines.

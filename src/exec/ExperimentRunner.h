@@ -31,15 +31,16 @@
 ///    fingerprint is looked up in the persistent RunCache first; only
 ///    fingerprint misses touch the simulator.
 ///
-/// Command-line integration: parseExecArgs() gives every bench binary the
-/// --jobs=N and --cache-dir=PATH flags (env fallbacks CTA_JOBS and
-/// CTA_CACHE_DIR) without per-bench argument code.
+/// Command-line integration: parseExecArgs() (exec/ExecConfig.h) gives
+/// every bench binary the --jobs=N and --cache-dir=PATH flags (env
+/// fallbacks CTA_JOBS and CTA_CACHE_DIR) without per-bench argument code.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CTA_EXEC_EXPERIMENTRUNNER_H
 #define CTA_EXEC_EXPERIMENTRUNNER_H
 
+#include "exec/ExecConfig.h"
 #include "exec/RunTask.h"
 #include "obs/RunArtifact.h"
 #include "serve/Service.h"
@@ -50,51 +51,6 @@
 #include <vector>
 
 namespace cta {
-
-/// Runner configuration, normally produced by parseExecArgs().
-struct ExecConfig {
-  /// Worker threads. 0 = one per hardware thread; 1 = run inline on the
-  /// calling thread (no pool).
-  unsigned Jobs = 0;
-  /// Simulator threads per run (--sim-threads=N / CTA_SIM_THREADS).
-  /// 1 = sequential engine; 0 = one per hardware thread; N > 1 = the
-  /// epoch-parallel engine with at most N workers. Bit-identical results
-  /// for every value, so it is deliberately NOT part of the run
-  /// fingerprint — cached results are valid across thread counts.
-  unsigned SimThreads = 1;
-  /// Directory of the persistent RunCache; empty disables caching.
-  std::string CacheDir;
-  /// Suppress wall-clock columns in bench tables (--no-timing /
-  /// CTA_NO_TIMING) so stdout is byte-comparable across runs and hosts.
-  bool NoTiming = false;
-  /// Where to write the machine-readable BenchArtifact JSON
-  /// (--emit-json=PATH / CTA_EMIT_JSON); empty disables emission.
-  std::string EmitJsonPath;
-  /// Name recorded in emitted artifacts; parseExecArgs() defaults it to
-  /// the binary's basename.
-  std::string BenchName = "bench";
-  /// Adaptive strategies: groups each core retires between remap commit
-  /// points (--adapt-interval=N / CTA_ADAPT_INTERVAL). 0 = keep the
-  /// MappingOptions default. Part of the run fingerprint (it changes
-  /// simulated cycles), unlike SimThreads.
-  unsigned AdaptInterval = 0;
-  /// Shorthand strategy selector (--adapt-policy=greedy|mw /
-  /// CTA_ADAPT_POLICY): `cta run` maps "greedy" to the adaptive-greedy
-  /// strategy and "mw" to adaptive-mw. Empty = no override.
-  std::string AdaptPolicy;
-};
-
-/// Parses --jobs=N / --jobs N, --sim-threads=N / --sim-threads N,
-/// --cache-dir=PATH / --cache-dir PATH, --no-timing, --emit-json=PATH /
-/// --emit-json PATH, --adapt-interval=N / --adapt-interval N and
-/// --adapt-policy=greedy|mw / --adapt-policy greedy|mw from \p argv (also
-/// accepts the CTA_JOBS / CTA_SIM_THREADS / CTA_CACHE_DIR / CTA_NO_TIMING /
-/// CTA_EMIT_JSON / CTA_ADAPT_INTERVAL / CTA_ADAPT_POLICY environment
-/// variables as defaults). Unrecognized arguments are left alone so
-/// benches can layer their own flags. Aborts on malformed values (anything
-/// that is not a plain in-range decimal for the numeric settings, or an
-/// unknown --adapt-policy name).
-ExecConfig parseExecArgs(int argc, char **argv);
 
 /// Executes RunTasks concurrently with result caching. Thread-safe for
 /// concurrent run() calls, though benches use one runner per process.

@@ -166,14 +166,12 @@ std::optional<RunResult> cta::deserializeRunResult(const std::string &Text,
 }
 
 /// Engine-telemetry counters describe *how* a simulation executed
-/// (batched rows, arena footprint, deferred work), not what it computed;
-/// different engine paths — sequential batched, traced unbatched,
-/// epoch-parallel — legitimately publish different families for the
+/// (record footprint, deferred work), not what it computed; a traced run
+/// records every iteration and so publishes different counts for the
 /// same bit-identical result, so they are not part of the deterministic
 /// record.
 static bool isEngineTelemetry(const std::string &Name) {
-  return Name.rfind("sim.batch.", 0) == 0 ||
-         Name.rfind("sim.parallel.", 0) == 0;
+  return Name.rfind("sim.parallel.", 0) == 0;
 }
 
 static void dropEngineTelemetry(std::map<std::string, std::uint64_t> &M) {

@@ -8,7 +8,6 @@
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
-#include <queue>
 
 using namespace cta;
 using namespace cta::runtime;
@@ -48,20 +47,13 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
   }
 
   const unsigned NumCores = Map.NumCores;
-  const unsigned NumAccesses = Trace.numAccesses();
-  const unsigned ComputeCycles = Trace.computeCyclesPerIteration();
   const unsigned Interval = std::max(1u, Cfg.Interval);
   const CacheTopology &Topo = Machine.topology();
-
-  Machine.clearStats();
 
   // Per-core group queues; Head marks the next group to run. Migrations
   // splice pending entries (index >= Head) between queues.
   std::vector<std::vector<std::uint32_t>> Queue = Map.CoreGroups;
   std::vector<std::size_t> Head(NumCores, 0);
-  std::vector<std::size_t> InGroup(NumCores, 0);
-
-  std::vector<std::uint64_t> Cycle(NumCores, 0);
   std::vector<std::uint64_t> Iters(NumCores, 0);
 
   std::vector<unsigned> Speed(NumCores, 100);
@@ -73,66 +65,11 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
                            .c_str());
   }
 
+  // Remap decisions read global cross-core state at every commit point,
+  // so the rounds run on the calling thread.
+  EpochEngine Engine(Machine, Trace);
+  const std::vector<std::uint64_t> &Cycle = Engine.Cycle;
   TraceLog *Log = Machine.traceLog();
-  if (Log != nullptr)
-    Log->beginNest();
-
-  // Batched row-walk scratch, the sequential engine's untraced hot path
-  // verbatim (per-level survivor filtering keeps probe order, so cache
-  // state and statistics stay bit-identical to per-access walking).
-  std::vector<std::uint64_t> Line(NumAccesses);
-  std::vector<std::uint32_t> Idx(NumAccesses);
-  std::vector<std::uint32_t> Lat(NumAccesses);
-  SimStats Local;
-  const unsigned MemLat = Machine.memoryLatency();
-
-  auto runIterationId = [&](unsigned Core, std::uint32_t Iter) {
-    const std::uint64_t *Row = Trace.row(Iter);
-    std::uint64_t C = Cycle[Core];
-    const std::uint64_t Start = C;
-    if (Log != nullptr) {
-      for (unsigned A = 0; A != NumAccesses; ++A) {
-        Log->setCycle(Core, C);
-        C += Machine.access(Core, Row[A], Trace.isWrite(A));
-      }
-    } else {
-      Local.TotalAccesses += NumAccesses;
-      unsigned Alive = NumAccesses;
-      for (unsigned A = 0; A != NumAccesses; ++A)
-        Idx[A] = A;
-      for (const MachineSim::PathEntry &E : Machine.corePath(Core)) {
-        if (Alive == 0)
-          break;
-        Local.Levels[E.Level].Lookups += Alive;
-        for (unsigned J = 0; J != Alive; ++J)
-          Line[J] = E.lineOf(Row[Idx[J]]);
-        unsigned Surv = 0;
-        std::uint64_t Hits = 0;
-        for (unsigned J = 0; J != Alive; ++J) {
-          if (E.C->probe(Line[J])) {
-            Lat[Idx[J]] = E.Latency;
-            ++Hits;
-          } else {
-            Idx[Surv++] = Idx[J];
-          }
-        }
-        Local.Levels[E.Level].Hits += Hits;
-        Alive = Surv;
-      }
-      Local.MemoryAccesses += Alive;
-      for (unsigned J = 0; J != Alive; ++J)
-        Lat[Idx[J]] = MemLat;
-      for (unsigned A = 0; A != NumAccesses; ++A)
-        C += Lat[A];
-    }
-    std::uint64_t D = C + ComputeCycles - Start;
-    if (Speed[Core] != 100)
-      D = (D * 100 + Speed[Core] - 1) / Speed[Core];
-    if (Log != nullptr)
-      Log->iterationSpan(Core, Iter, Start, Start + D);
-    Cycle[Core] = Start + D;
-    ++Iters[Core];
-  };
 
   auto pendingItersOf = [&](unsigned C) {
     std::uint64_t P = 0;
@@ -149,38 +86,31 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
   // Trace-counter baselines, only touched on traced runs (Log != nullptr).
   std::vector<std::uint64_t> PrevTraceHits, PrevTraceFills;
 
-  using HeapEntry = std::pair<std::uint64_t, unsigned>;
-  using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                      std::greater<HeapEntry>>;
-
+  std::vector<std::vector<std::uint32_t>> RoundIters(NumCores);
+  std::vector<std::span<const std::uint32_t>> Work(NumCores);
   unsigned Round = 0;
   for (;;) {
-    MinHeap Heap;
-    for (unsigned C = 0; C != NumCores; ++C)
-      if (Head[C] < Queue[C].size())
-        Heap.push({Cycle[C], C});
-    if (Heap.empty())
+    // One round is one engine epoch: each core runs the iterations of its
+    // next Interval groups from its own clock, so the commit point below
+    // sees every core idle at a group boundary.
+    bool AnyWork = false;
+    for (unsigned C = 0; C != NumCores; ++C) {
+      RoundIters[C].clear();
+      for (unsigned G = 0; G != Interval && Head[C] != Queue[C].size();
+           ++G, ++Head[C]) {
+        const std::vector<std::uint32_t> &Group =
+            Map.Groups[Queue[C][Head[C]]].Iterations;
+        RoundIters[C].insert(RoundIters[C].end(), Group.begin(), Group.end());
+        AnyWork = true;
+      }
+      Iters[C] += RoundIters[C].size();
+      Work[C] = RoundIters[C];
+    }
+    if (!AnyWork)
       break;
     if (Log != nullptr)
       Log->setRound(Round);
-
-    // One round: discrete-event interleave, each core retiring at most
-    // Interval groups. Cores leave the heap exactly at group boundaries,
-    // so the commit point below sees every core idle between groups.
-    std::vector<unsigned> Allowance(NumCores, Interval);
-    while (!Heap.empty()) {
-      unsigned C = Heap.top().second;
-      Heap.pop();
-      const IterationGroup &G = Map.Groups[Queue[C][Head[C]]];
-      runIterationId(C, G.Iterations[InGroup[C]]);
-      if (++InGroup[C] == G.Iterations.size()) {
-        InGroup[C] = 0;
-        ++Head[C];
-        if (--Allowance[C] == 0 || Head[C] == Queue[C].size())
-          continue; // this core's round is over
-      }
-      Heap.push({Cycle[C], C});
-    }
+    Engine.runEpoch(Work);
     ++NumAdaptRounds;
     ++Round;
 
@@ -242,15 +172,7 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
     }
   }
   NumAdaptWeightUpdates += Policy->weightUpdates();
-
-  Machine.addStats(Local);
-
-  ExecutionResult Result;
-  Result.CoreCycles = Cycle;
-  Result.TotalCycles = *std::max_element(Cycle.begin(), Cycle.end());
-  Result.Stats = Machine.stats();
-  Result.PerCache = Machine.perCacheStats();
-  return Result;
+  return Engine.finish();
 }
 
 void runtime::remapDisabledCores(Mapping &Map, const CacheTopology &Topo) {

@@ -9,18 +9,17 @@
 /// mapping, but between rounds — a round ends when every core has retired
 /// its allowance of AdaptInterval groups — extracts a runtime::Feedback
 /// snapshot and lets an AdaptivePolicy migrate pending groups between
-/// cores. The commit point is where the sequential engine's event heap
-/// already leaves every core idle at a group boundary, so migration needs
-/// no new synchronization; its cost is charged organically as cold-cache
-/// refill when the moved group's lines miss in the destination core's
-/// private levels.
+/// cores. Each round is one EpochEngine epoch, so the commit point sees
+/// every core idle at a group boundary and migration needs no new
+/// synchronization; its cost is charged organically as cold-cache refill
+/// when the moved group's lines miss in the destination core's private
+/// levels.
 ///
-/// The adaptive path is sequential-only, like `--emit-trace`: remap
-/// decisions depend on global cross-core state at each commit point, so
-/// `--sim-threads` requests fall back to this engine (documented in
-/// DESIGN.md). Determinism is unconditional — policies are deterministic
-/// and the event order is the sequential engine's — so artifacts are
-/// byte-identical across --jobs counts.
+/// Remap decisions depend on global cross-core state at each commit
+/// point, so adaptive runs stay on the calling thread (DESIGN.md).
+/// Determinism is unconditional — policies are deterministic and the
+/// event order is the engine's — so artifacts are byte-identical across
+/// --jobs counts.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,107 +9,10 @@
 #include "exec/ExperimentRunner.h"
 
 #include "support/ErrorHandling.h"
-#include "support/ParseNumber.h"
 
-#include <climits>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace cta;
-
-/// Validates an --adapt-policy value; the two names mirror the
-/// adaptive-greedy / adaptive-mw strategies.
-static std::string parseAdaptPolicy(const char *What, const char *Value) {
-  std::string V = Value;
-  if (V != "greedy" && V != "mw")
-    reportFatalError((std::string(What) + ": unknown adaptive policy '" + V +
-                      "' (expected 'greedy' or 'mw')")
-                         .c_str());
-  return V;
-}
-
-ExecConfig cta::parseExecArgs(int argc, char **argv) {
-  ExecConfig Config;
-  if (const char *Env = std::getenv("CTA_JOBS"))
-    Config.Jobs = static_cast<unsigned>(
-        parseUint64OrDie("CTA_JOBS", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_SIM_THREADS"))
-    Config.SimThreads = static_cast<unsigned>(
-        parseUint64OrDie("CTA_SIM_THREADS", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_ADAPT_INTERVAL"))
-    Config.AdaptInterval = static_cast<unsigned>(
-        parseUint64OrDie("CTA_ADAPT_INTERVAL", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_ADAPT_POLICY"))
-    Config.AdaptPolicy = parseAdaptPolicy("CTA_ADAPT_POLICY", Env);
-  if (const char *Env = std::getenv("CTA_CACHE_DIR"))
-    Config.CacheDir = Env;
-  if (std::getenv("CTA_NO_TIMING"))
-    Config.NoTiming = true;
-  if (const char *Env = std::getenv("CTA_EMIT_JSON"))
-    Config.EmitJsonPath = Env;
-  if (argc > 0 && argv[0] && *argv[0]) {
-    const char *Base = std::strrchr(argv[0], '/');
-    Config.BenchName = Base ? Base + 1 : argv[0];
-  }
-
-  auto parseJobs = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--jobs", Value, /*Max=*/UINT_MAX));
-  };
-  auto parseSimThreads = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--sim-threads", Value, /*Max=*/UINT_MAX));
-  };
-  auto parseAdaptInterval = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--adapt-interval", Value, /*Max=*/UINT_MAX));
-  };
-
-  for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    if (std::strncmp(Arg, "--jobs=", 7) == 0) {
-      Config.Jobs = parseJobs(Arg + 7);
-    } else if (std::strcmp(Arg, "--jobs") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--jobs needs a value");
-      Config.Jobs = parseJobs(argv[++I]);
-    } else if (std::strncmp(Arg, "--sim-threads=", 14) == 0) {
-      Config.SimThreads = parseSimThreads(Arg + 14);
-    } else if (std::strcmp(Arg, "--sim-threads") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--sim-threads needs a value");
-      Config.SimThreads = parseSimThreads(argv[++I]);
-    } else if (std::strncmp(Arg, "--adapt-interval=", 17) == 0) {
-      Config.AdaptInterval = parseAdaptInterval(Arg + 17);
-    } else if (std::strcmp(Arg, "--adapt-interval") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--adapt-interval needs a value");
-      Config.AdaptInterval = parseAdaptInterval(argv[++I]);
-    } else if (std::strncmp(Arg, "--adapt-policy=", 15) == 0) {
-      Config.AdaptPolicy = parseAdaptPolicy("--adapt-policy", Arg + 15);
-    } else if (std::strcmp(Arg, "--adapt-policy") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--adapt-policy needs a value");
-      Config.AdaptPolicy = parseAdaptPolicy("--adapt-policy", argv[++I]);
-    } else if (std::strncmp(Arg, "--cache-dir=", 12) == 0) {
-      Config.CacheDir = Arg + 12;
-    } else if (std::strcmp(Arg, "--cache-dir") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--cache-dir needs a value");
-      Config.CacheDir = argv[++I];
-    } else if (std::strcmp(Arg, "--no-timing") == 0) {
-      Config.NoTiming = true;
-    } else if (std::strncmp(Arg, "--emit-json=", 12) == 0) {
-      Config.EmitJsonPath = Arg + 12;
-    } else if (std::strcmp(Arg, "--emit-json") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--emit-json needs a value");
-      Config.EmitJsonPath = argv[++I];
-    }
-  }
-  return Config;
-}
 
 static serve::Service::Config toServiceConfig(const ExecConfig &C) {
   serve::Service::Config SC;

@@ -585,8 +585,7 @@ obs::TelemetrySnapshot Server::telemetrySnapshot() {
   S.Counters["exec.sim.accesses"] = Svc.simulatedAccesses();
 
   // The grid sink aggregates every finished run's counters: the
-  // runtime.adapt.* remap activity and the engine families (sim.batch.*,
-  // sim.parallel.*).
+  // runtime.adapt.* remap activity and the engine family (sim.parallel.*).
   for (const auto &[Name, Value] : Svc.gridSink().snapshot())
     S.Counters[Name] = Value;
 

@@ -61,7 +61,7 @@ class MetricsServer;
 struct ServerOptions {
   std::string SocketPath;
   unsigned Jobs = 0;          ///< Service worker threads (0 = hardware).
-  unsigned SimThreads = 1;    ///< Engine threads per cold miss (1 = seq).
+  unsigned SimThreads = 1;    ///< Phase-1 engine threads per cold miss.
   std::string CacheDir;       ///< Persistent RunCache directory.
   std::size_t MaxInflight = 64;
   std::size_t MaxBatch = 32;

@@ -77,8 +77,9 @@ public:
     /// daemon sets false: admitted requests were promised a response, so
     /// graceful shutdown *drains* them (admission stops new work instead).
     bool SkipOnShutdown = true;
-    /// Simulator threads per run (SimExec::Threads): 1 = sequential
-    /// engine, 0 = one per hardware thread, N > 1 = epoch-parallel engine.
+    /// Simulator threads per run (SimExec::Threads), sharing the engine's
+    /// phase 1: 1 = the calling thread, 0 = one per hardware thread,
+    /// N > 1 = at most N.
     /// Results are bit-identical for every value, so this is not part of
     /// the fingerprint — warm/cached answers are valid across settings.
     /// Cold misses lend the service's own pool to the engine.

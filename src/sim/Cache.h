@@ -144,16 +144,6 @@ public:
 
   /// Zeroes the per-instance statistics (cache contents untouched).
   void clearStats() { StatLookups = StatHits = StatEvictions = 0; }
-
-  /// Folds externally accumulated statistics in (parallel engine workers
-  /// count privately and merge here, keeping the totals identical to a
-  /// sequential run).
-  void addStats(std::uint64_t Lookups, std::uint64_t Hits,
-                std::uint64_t Evictions) {
-    StatLookups += Lookups;
-    StatHits += Hits;
-    StatEvictions += Evictions;
-  }
 };
 
 } // namespace cta

@@ -75,9 +75,9 @@ struct CacheNodeStats {
 /// The machine: one cache per topology node plus per-core access paths.
 class MachineSim {
 public:
-  /// One precompiled level of a core's access path. Public so the engines
-  /// (sequential batched row walk, parallel epoch engine) can drive the
-  /// probes themselves while keeping statistics bit-identical to
+  /// One precompiled level of a core's access path. Public so the engine
+  /// (EpochEngine's batched row walk and shared-level replay) can drive
+  /// the probes itself while keeping statistics bit-identical to
   /// access().
   struct PathEntry {
     Cache *C = nullptr;
@@ -169,8 +169,8 @@ public:
   /// Number of leading path levels of \p Core served by caches private to
   /// it (exactly one core below the node). Core counts are monotone up
   /// the tree, so every path is a private prefix followed by a shared
-  /// suffix; the parallel engine simulates the prefix concurrently and
-  /// defers the suffix to the deterministic merge.
+  /// suffix; the engine's phase 1 resolves the prefix per core and
+  /// defers the suffix to its phase 2.
   unsigned privatePrefixLen(unsigned Core) const {
     assert(Core < PrivateLen.size() && "core id out of range");
     return PrivateLen[Core];
@@ -179,9 +179,9 @@ public:
   /// Memory access cost past the last level (engine internals).
   unsigned memoryLatency() const { return Topo.memoryLatency(); }
 
-  /// Folds engine-side accumulated per-level statistics in (the batched
-  /// and parallel engines count privately, then merge; totals stay
-  /// identical to per-access counting).
+  /// Folds engine-side accumulated per-level statistics in (the engine's
+  /// phases count privately, then merge; totals stay identical to
+  /// per-access counting).
   void addStats(const SimStats &S) {
     for (unsigned L = 0; L != SimStats::MaxLevels + 1; ++L) {
       Stats.Levels[L].Lookups += S.Levels[L].Lookups;

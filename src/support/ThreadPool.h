@@ -7,8 +7,8 @@
 /// \file
 /// The project's execution substrate: a work-stealing thread pool plus
 /// the TaskGroup / parallelFor structured-parallelism API that the
-/// ExperimentRunner and the simulator's parallel engine are built on. Each worker owns a deque; it pops its own
-/// work LIFO (locality) and steals FIFO from victims (oldest, largest
+/// ExperimentRunner and the simulator's threaded phase 1 are built on.
+/// Each worker owns a deque; it pops its own work LIFO (locality) and steals FIFO from victims (oldest, largest
 /// work first) — the classic Blumofe/Leiserson discipline used by the
 /// schedulers in SNIPPETS.md. Waiters help: TaskGroup::wait() drains pool
 /// work instead of blocking, so nested groups cannot deadlock the pool.

@@ -165,6 +165,18 @@ TEST(Engine, RejectsNonPartitionMappings) {
                "partition");
 }
 
+TEST(Engine, RejectsWorkOnADisabledCore) {
+  Program P = makeStencil1D("s", 10, 1);
+  CacheTopology T = makeTiny();
+  T.setCoreSpeed(1, 0);
+  MachineSim Sim(T);
+  AddressMap Addrs(P.Arrays);
+  IterationTable Table = P.Nests[0].enumerate();
+  Mapping Map = mapBase(Table, 2);
+  EXPECT_DEATH(executeMapping(Sim, P, 0, Table, Map, Addrs),
+               "work to disabled core 1");
+}
+
 TEST(Engine, CachesStayWarmAcrossCalls) {
   Program P = makeStencil1D("s", 40, 1); // data set fits the shared L2
   CacheTopology T = makeTiny();

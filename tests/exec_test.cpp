@@ -662,7 +662,7 @@ TEST(ExperimentRunnerTest, ParseSimThreadsForms) {
   {
     const char *Argv[] = {"bench"};
     ExecConfig C = parseExecArgs(1, const_cast<char **>(Argv));
-    EXPECT_EQ(C.SimThreads, 1u); // default: sequential engine
+    EXPECT_EQ(C.SimThreads, 1u); // default: the calling thread only
   }
   {
     const char *Argv[] = {"bench", "--sim-threads=4"};

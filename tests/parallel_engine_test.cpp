@@ -1,14 +1,15 @@
-//===- tests/parallel_engine_test.cpp - Epoch-parallel engine stress ------===//
+//===- tests/parallel_engine_test.cpp - Threaded phase-1 stress -----------===//
 //
-// Thread-safety stress coverage for the epoch-parallel engine, built to
-// run under ThreadSanitizer in CI: one MachineSim hammered by repeated
-// parallel executions on a shared pool (the phase-1 workers touch
-// disjoint private caches of the SAME machine — exactly the sharing
-// pattern TSan must see as race-free), plus the nested configuration the
-// serve daemon runs in production: engines borrowing the pool of the
-// Service that is executing them on that same pool.
+// Thread-safety stress coverage for the engine's threaded phase 1
+// (--sim-threads), built to run under ThreadSanitizer in CI: one
+// MachineSim hammered by repeated executions on a shared pool (the
+// phase-1 workers touch disjoint private caches of the SAME machine —
+// exactly the sharing pattern TSan must see as race-free), plus the
+// nested configuration the serve daemon runs in production: engines
+// borrowing the pool of the Service that is executing them on that same
+// pool.
 //
-// Every run is also checked bit-exact against a sequential twin, so a
+// Every run is also checked bit-exact against a one-thread twin, so a
 // synchronization bug that silently corrupts state (rather than tripping
 // TSan) still fails the test.
 //
@@ -19,7 +20,6 @@
 #include "serve/Service.h"
 #include "sim/AccessTrace.h"
 #include "sim/Engine.h"
-#include "sim/ParallelEngine.h"
 #include "support/ThreadPool.h"
 #include "topo/Presets.h"
 #include "workloads/Suite.h"
@@ -74,7 +74,6 @@ TEST(ParallelEngineStress, HammersOneMachineFromSharedPool) {
 
   MachineSim ParSim(Topo);
   MachineSim SeqSim(Topo);
-  ASSERT_TRUE(epochParallelEligible(ParSim, Pipe.Map));
 
   // One pool, many back-to-back parallel runs against the SAME machine:
   // consecutive runs hand each private cache from one worker thread to
@@ -113,8 +112,8 @@ TEST(ParallelEngineStress, NestsInsideServicePoolWithoutDeadlock) {
   ASSERT_EQ(Out.size(), Tasks.size());
   EXPECT_EQ(Svc.simulatorInvocations(), Tasks.size());
 
-  // The parallel engine must produce what the sequential CLI path
-  // produces for the same tasks.
+  // Threaded runs must produce what the one-thread CLI path produces for
+  // the same tasks.
   for (std::size_t I = 0; I != Tasks.size(); ++I) {
     RunResult Seq = runOnMachine(Tasks[I].Prog, Tasks[I].Machine,
                                  Tasks[I].Strat, Tasks[I].Opts);

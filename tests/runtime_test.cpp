@@ -6,7 +6,8 @@
 // functions over synthetic Feedback, the disabled-core fold, the adaptive
 // executor's win over the static mapping on a degraded machine (and its
 // within-noise behaviour on a uniform one), the fallback on dependence
-// workloads, the fingerprint extensions, and byte-identical determinism
+// workloads, the fingerprint extensions, the exact cycles and remap
+// counts recorded in BENCH_adaptive.json, and byte-identical determinism
 // across --jobs counts. The --jobs sweep doubles as the thread-sanitizer
 // stress case: every adaptive task runs concurrently under its own run
 // sink, bumping the shared runtime.adapt.* counters.
@@ -19,6 +20,7 @@
 #include "exec/RunCache.h"
 #include "runtime/AdaptiveExecutor.h"
 #include "runtime/AdaptivePolicy.h"
+#include "serve/Json.h"
 #include "topo/Parse.h"
 #include "topo/Presets.h"
 #include "workloads/Suite.h"
@@ -26,6 +28,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -408,6 +413,79 @@ std::vector<std::string> runGridBytes(const GridSpec &Spec, unsigned Jobs) {
   for (const RunResult &R : Runner.run(Spec))
     Out.push_back(deterministicBytes(R));
   return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Oracle: the committed adaptive head-to-head
+//===----------------------------------------------------------------------===//
+
+std::uint64_t counterOf(const RunResult &R, const std::string &Name) {
+  auto It = R.Counters.find(Name);
+  return It == R.Counters.end() ? 0 : It->second;
+}
+
+TEST(AdaptiveOracleTest, ReproducesCommittedBenchExactly) {
+  // BENCH_adaptive.json records bench/adaptive_headroom's 16 cells: cg
+  // and sp on a uniform and a degraded Dunnington at 1/32, under Base+,
+  // TopologyAware and both adaptive strategies. Simulated cycles and the
+  // remap telemetry are deterministic, so every cell must come back
+  // exactly.
+  std::ifstream In(std::string(CTA_SOURCE_DIR) + "/BENCH_adaptive.json");
+  ASSERT_TRUE(In.good());
+  std::stringstream Text;
+  Text << In.rdbuf();
+  std::string Err;
+  std::optional<serve::JsonValue> Doc = serve::parseJson(Text.str(), &Err);
+  ASSERT_TRUE(Doc.has_value()) << Err;
+
+  MappingOptions Opts = ExperimentConfig::makeDefaultOptions();
+  Opts.AdaptInterval =
+      static_cast<unsigned>(Doc->get("adapt_interval")->asNumber());
+
+  struct Cell {
+    std::string Label;
+    const serve::JsonValue *Entry;
+  };
+  std::vector<RunTask> Tasks;
+  std::vector<Cell> Cells;
+  for (const serve::JsonValue &Scenario : Doc->get("scenarios")->Arr) {
+    const std::string Name = Scenario.get("name")->asString();
+    ASSERT_TRUE(Name == "uniform" || Name == "degraded") << Name;
+    CacheTopology Machine = Name == "uniform"
+                                ? makeDunnington().scaledCapacity(1.0 / 32)
+                                : degradedDunnington();
+    for (const serve::JsonValue &Entry : Scenario.get("entries")->Arr) {
+      const std::string Workload = Entry.get("workload")->asString();
+      const std::string StratName = Entry.get("strategy")->asString();
+      std::optional<Strategy> Strat;
+      for (Strategy S : {Strategy::BasePlus, Strategy::TopologyAware,
+                         Strategy::AdaptiveGreedy, Strategy::AdaptiveMW})
+        if (StratName == strategyName(S))
+          Strat = S;
+      ASSERT_TRUE(Strat.has_value()) << StratName;
+      std::string Label = Name + "/" + Workload + "/" + StratName;
+      Tasks.push_back(makeRunTask(makeWorkload(Workload), Machine, *Strat,
+                                  Opts, Label));
+      Cells.push_back({Label, &Entry});
+    }
+  }
+  ASSERT_EQ(Tasks.size(), 16u);
+
+  ExecConfig Config;
+  Config.Jobs = 2;
+  ExperimentRunner Runner(Config);
+  std::vector<RunResult> Results = Runner.run(Tasks);
+  ASSERT_EQ(Results.size(), Cells.size());
+  for (std::size_t I = 0; I != Cells.size(); ++I) {
+    const serve::JsonValue &Entry = *Cells[I].Entry;
+    EXPECT_EQ(Results[I].Cycles,
+              static_cast<std::uint64_t>(Entry.get("cycles")->asNumber()))
+        << Cells[I].Label;
+    for (const auto &[Key, Value] : Entry.get("adapt")->Obj)
+      EXPECT_EQ(counterOf(Results[I], "runtime.adapt." + Key),
+                static_cast<std::uint64_t>(Value.asNumber()))
+          << Cells[I].Label << " runtime.adapt." << Key;
+  }
 }
 
 TEST(AdaptiveDeterminismTest, JobsCountNeverChangesResults) {

@@ -1,11 +1,13 @@
-//===- tests/sim_equivalence_test.cpp - Fast path vs reference engine -----===//
+//===- tests/sim_equivalence_test.cpp - Engine vs reference engine --------===//
 //
-// Differential test of the simulator hot path: executeMapping (precompiled
-// AccessTrace + single-probe caches + event-heap scheduling) must produce
-// bit-identical results to executeMappingReference (per-access affine
-// evaluation, two-scan caches, linear min-scans) on randomized programs,
-// topologies and mappings. Any divergence in cycles or cache statistics is
-// a bug in one of the two paths.
+// Differential test of the simulator: executeTrace (precompiled
+// AccessTrace, single-probe caches, the two-phase EpochEngine) must
+// produce bit-identical results to executeMappingReference (per-access
+// affine evaluation, two-scan caches, linear min-scans) on randomized
+// programs, topologies and mappings — free running, barrier and
+// point-to-point, on uniform and degraded machines, cold and warm, traced
+// and untraced, at every phase-1 thread count. Any divergence in cycles,
+// cache statistics or trace events is a bug in one of the two paths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +16,6 @@
 #include "serve/Service.h"
 #include "sim/AccessTrace.h"
 #include "sim/Engine.h"
-#include "sim/ParallelEngine.h"
 #include "sim/TraceLog.h"
 #include "support/Random.h"
 #include "topo/Presets.h"
@@ -95,9 +96,13 @@ Program makeRandomProgram(SplitMix64 &Rng) {
 /// A random two- or three-level topology. Line sizes include non-powers
 /// of two (exercising the division path) and set counts are frequently
 /// non-powers of two (exercising the modulo path next to the mask path).
+/// Some seeds get a zero-latency L1, so an iteration that hits it and
+/// computes nothing takes zero cycles and ties with whatever it wakes;
+/// some degrade cores to 33, 50 or 75% speed, keeping one core nominal.
 CacheTopology makeRandomTopology(SplitMix64 &Rng) {
   static const unsigned LineSizes[] = {32, 48, 64, 96};
   static const unsigned SetCounts[] = {2, 3, 4, 5, 7, 8, 12, 16};
+  static const unsigned Speeds[] = {33, 50, 75};
 
   auto params = [&](unsigned Level) {
     CacheParams P;
@@ -111,6 +116,7 @@ CacheTopology makeRandomTopology(SplitMix64 &Rng) {
 
   CacheTopology T("rand", 60 + static_cast<unsigned>(Rng.nextBelow(140)));
   const bool ThreeLevels = Rng.nextBelow(2) == 0;
+  const bool ZeroLatencyL1 = Rng.nextBelow(4) == 0;
   const unsigned NumShared = 1 + static_cast<unsigned>(Rng.nextBelow(2));
   const unsigned CoresPerShared = 1 + static_cast<unsigned>(Rng.nextBelow(3));
   for (unsigned S = 0; S != NumShared; ++S) {
@@ -118,10 +124,21 @@ CacheTopology makeRandomTopology(SplitMix64 &Rng) {
     if (ThreeLevels)
       Parent = T.addCache(T.rootId(), 3, params(3));
     const unsigned L2 = T.addCache(Parent, 2, params(2));
-    for (unsigned C = 0; C != CoresPerShared; ++C)
-      T.addCache(L2, 1, params(1));
+    for (unsigned C = 0; C != CoresPerShared; ++C) {
+      CacheParams L1 = params(1);
+      if (ZeroLatencyL1)
+        L1.LatencyCycles = 0;
+      T.addCache(L2, 1, L1);
+    }
   }
   T.finalize();
+
+  if (T.numCores() > 1 && Rng.nextBelow(3) == 0) {
+    const unsigned Nominal = static_cast<unsigned>(Rng.nextBelow(T.numCores()));
+    for (unsigned C = 0; C != T.numCores(); ++C)
+      if (C != Nominal && Rng.nextBelow(2) == 0)
+        T.setCoreSpeed(C, Speeds[Rng.nextBelow(3)]);
+  }
   return T;
 }
 
@@ -150,23 +167,26 @@ makeRandomPartition(std::uint32_t NumIterations, unsigned NumCores,
   return PerCore;
 }
 
-/// A random mapping in one of the three synchronization regimes the
-/// engine supports: free running, multi-round barriers, point-to-point.
+/// The three synchronization regimes the engine supports.
+enum class Regime { FreeRunning, Barriers, PointToPoint };
+constexpr Regime AllRegimes[] = {Regime::FreeRunning, Regime::Barriers,
+                                 Regime::PointToPoint};
+
+/// A random mapping in synchronization regime \p Mode.
 Mapping makeRandomMapping(std::uint32_t NumIterations, unsigned NumCores,
-                          SplitMix64 &Rng) {
+                          Regime Mode, SplitMix64 &Rng) {
   Mapping Map;
   Map.StrategyName = "random";
   Map.NumCores = NumCores;
   Map.CoreIterations = makeRandomPartition(NumIterations, NumCores, Rng);
 
-  const unsigned Mode = static_cast<unsigned>(Rng.nextBelow(3));
-  if (Mode == 0) { // free running: one round, no barriers
+  if (Mode == Regime::FreeRunning) { // one round, no barriers
     Map.NumRounds = 1;
     Map.RoundEnd.resize(NumCores);
     for (unsigned C = 0; C != NumCores; ++C)
       Map.RoundEnd[C].push_back(Map.CoreIterations[C].size());
     Map.BarriersRequired = false;
-  } else if (Mode == 1) { // multi-round barriers
+  } else if (Mode == Regime::Barriers) { // multi-round barriers
     Map.NumRounds = 2 + static_cast<unsigned>(Rng.nextBelow(2));
     Map.BarriersRequired = true;
     Map.RoundEnd.resize(NumCores);
@@ -254,159 +274,149 @@ void expectIdentical(const ExecutionResult &Fast, const ExecutionResult &Ref,
   }
 }
 
-/// Runs one random configuration through both engine paths on fresh
-/// machines and asserts bit-identical results; repeats the run on the
-/// now-warm machines so persistent cache state is compared too.
-void runOneSeed(std::uint64_t Seed) {
-  SplitMix64 Rng(Seed);
-  Program Prog = makeRandomProgram(Rng);
-  CacheTopology Topo = makeRandomTopology(Rng);
-  IterationTable Table = Prog.Nests[0].enumerate();
-  AddressMap Addrs(Prog.Arrays);
-  Mapping Map = makeRandomMapping(Table.size(), Topo.numCores(), Rng);
-  ASSERT_TRUE(Map.validate());
-
-  MachineSim FastSim(Topo);
-  MachineSim RefSim(Topo);
-  ExecutionResult Fast = executeMapping(FastSim, Prog, 0, Table, Map, Addrs);
-  ExecutionResult Ref =
-      executeMappingReference(RefSim, Prog, 0, Table, Map, Addrs);
-  expectIdentical(Fast, Ref, Seed);
-
-  // Warm re-run: cache contents persisted across the first call in both
-  // simulators; the second execution must diverge in neither timing nor
-  // statistics.
-  ExecutionResult Fast2 = executeMapping(FastSim, Prog, 0, Table, Map, Addrs);
-  ExecutionResult Ref2 =
-      executeMappingReference(RefSim, Prog, 0, Table, Map, Addrs);
-  expectIdentical(Fast2, Ref2, Seed);
+void expectSameEvents(const TraceLog &Got, const TraceLog &Ref,
+                      std::uint64_t Seed) {
+  EXPECT_EQ(Got.totalEvents(), Ref.totalEvents()) << "seed " << Seed;
+  EXPECT_EQ(Got.droppedEvents(), Ref.droppedEvents()) << "seed " << Seed;
+  const std::vector<TraceEvent> GotEvents = Got.events();
+  const std::vector<TraceEvent> RefEvents = Ref.events();
+  ASSERT_EQ(GotEvents.size(), RefEvents.size()) << "seed " << Seed;
+  for (std::size_t I = 0; I != GotEvents.size(); ++I) {
+    const TraceEvent &G = GotEvents[I];
+    const TraceEvent &R = RefEvents[I];
+    ASSERT_TRUE(G.Cycle == R.Cycle && G.Core == R.Core && G.Node == R.Node &&
+                G.Kind == R.Kind && G.Payload == R.Payload)
+        << "event " << I << " seed " << Seed << ": cycle " << G.Cycle
+        << " vs " << R.Cycle << ", core " << G.Core << " vs " << R.Core
+        << ", node " << G.Node << " vs " << R.Node << ", payload "
+        << G.Payload << " vs " << R.Payload;
+  }
 }
+
+/// One random program, topology and compiled trace. Each regime's mapping
+/// draws from the same generator state, so a seed names one configuration
+/// per regime.
+struct RandomConfig {
+  SplitMix64 Rng;
+  Program Prog;
+  CacheTopology Topo;
+  IterationTable Table;
+  AddressMap Addrs;
+  AccessTrace Trace;
+
+  explicit RandomConfig(std::uint64_t Seed)
+      : Rng(Seed), Prog(makeRandomProgram(Rng)), Topo(makeRandomTopology(Rng)),
+        Table(Prog.Nests[0].enumerate()), Addrs(Prog.Arrays),
+        Trace(AccessTrace::compile(Prog, 0, Table, Addrs)) {}
+
+  Mapping mapping(Regime Mode) const {
+    SplitMix64 MapRng = Rng;
+    return makeRandomMapping(Table.size(), Topo.numCores(), Mode, MapRng);
+  }
+
+  bool zeroLatencyL1() const {
+    return Topo.node(Topo.l1Of(0)).Params.LatencyCycles == 0;
+  }
+};
 
 } // namespace
 
 TEST(SimEquivalence, RandomizedConfigurations) {
-  for (std::uint64_t Seed = 1; Seed <= 60; ++Seed)
-    runOneSeed(Seed);
+  // Every seed runs in all three regimes against the reference engine on
+  // fresh machines, then again on the now-warm machines so persistent
+  // cache state is compared too, at one and two phase-1 threads.
+  unsigned Degraded = 0, ZeroLatency = 0;
+  for (std::uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    const RandomConfig Cfg(Seed);
+    Degraded += !Cfg.Topo.uniformSpeed();
+    ZeroLatency += Cfg.zeroLatencyL1();
+    for (Regime Mode : AllRegimes) {
+      SCOPED_TRACE("regime " + std::to_string(static_cast<int>(Mode)));
+      const Mapping Map = Cfg.mapping(Mode);
+      ASSERT_TRUE(Map.validate());
+      MachineSim RefSim(Cfg.Topo);
+      const ExecutionResult RefCold = executeMappingReference(
+          RefSim, Cfg.Prog, 0, Cfg.Table, Map, Cfg.Addrs);
+      const ExecutionResult RefWarm = executeMappingReference(
+          RefSim, Cfg.Prog, 0, Cfg.Table, Map, Cfg.Addrs);
+      for (unsigned Threads : {1u, 2u}) {
+        SCOPED_TRACE("threads " + std::to_string(Threads));
+        SimExec Exec;
+        Exec.Threads = Threads;
+        MachineSim Sim(Cfg.Topo);
+        expectIdentical(executeTrace(Sim, Cfg.Trace, Map, Exec), RefCold,
+                        Seed);
+        expectIdentical(executeTrace(Sim, Cfg.Trace, Map, Exec), RefWarm,
+                        Seed);
+      }
+    }
+  }
+  EXPECT_GT(Degraded, 0u);
+  EXPECT_GT(ZeroLatency, 0u);
 }
 
-TEST(SimEquivalence, ParallelEngineMatchesSequential) {
-  // The epoch-parallel engine must be bit-exact against the sequential
-  // fast path on randomized configurations: non-power-of-two set counts
-  // (makeRandomTopology mixes them in), free-running, multi-round
-  // barrier, and point-to-point schedules (the last fall back to the
-  // sequential engine inside executeTrace — identity is trivial there
-  // but the dispatch path is exercised). Warm re-runs compare persistent
-  // cache state too, and every thread count must agree, including 0
-  // (hardware) and counts exceeding the core count.
+TEST(SimEquivalence, ThreadCountNeverChangesResults) {
+  // Hardware-sized pools (0) and counts exceeding the core count (7) must
+  // agree with one thread, cold and warm, in every regime.
   for (std::uint64_t Seed = 201; Seed <= 240; ++Seed) {
-    SplitMix64 Rng(Seed);
-    Program Prog = makeRandomProgram(Rng);
-    CacheTopology Topo = makeRandomTopology(Rng);
-    IterationTable Table = Prog.Nests[0].enumerate();
-    AddressMap Addrs(Prog.Arrays);
-    Mapping Map = makeRandomMapping(Table.size(), Topo.numCores(), Rng);
-    ASSERT_TRUE(Map.validate());
-    AccessTrace Trace = AccessTrace::compile(Prog, 0, Table, Addrs);
-
-    MachineSim SeqSim(Topo);
-    ExecutionResult SeqCold = executeTrace(SeqSim, Trace, Map);
-    ExecutionResult SeqWarm = executeTrace(SeqSim, Trace, Map);
-
-    for (unsigned Threads : {0u, 2u, 7u}) {
-      MachineSim ParSim(Topo);
-      SimExec Exec;
-      Exec.Threads = Threads;
-      ExecutionResult ParCold = executeTrace(ParSim, Trace, Map, Exec);
-      expectIdentical(ParCold, SeqCold, Seed);
-      ExecutionResult ParWarm = executeTrace(ParSim, Trace, Map, Exec);
-      expectIdentical(ParWarm, SeqWarm, Seed);
+    const RandomConfig Cfg(Seed);
+    for (Regime Mode : AllRegimes) {
+      SCOPED_TRACE("regime " + std::to_string(static_cast<int>(Mode)));
+      const Mapping Map = Cfg.mapping(Mode);
+      MachineSim OneSim(Cfg.Topo);
+      const ExecutionResult OneCold = executeTrace(OneSim, Cfg.Trace, Map);
+      const ExecutionResult OneWarm = executeTrace(OneSim, Cfg.Trace, Map);
+      for (unsigned Threads : {0u, 7u}) {
+        SimExec Exec;
+        Exec.Threads = Threads;
+        MachineSim Sim(Cfg.Topo);
+        expectIdentical(executeTrace(Sim, Cfg.Trace, Map, Exec), OneCold,
+                        Seed);
+        expectIdentical(executeTrace(Sim, Cfg.Trace, Map, Exec), OneWarm,
+                        Seed);
+      }
     }
   }
 }
 
-TEST(SimEquivalence, ParallelEngineEligibility) {
-  SplitMix64 Rng(77);
-  Program Prog = makeRandomProgram(Rng);
-  CacheTopology Topo = makeRandomTopology(Rng);
-  if (Topo.numCores() < 2)
-    GTEST_SKIP() << "seed produced a single-core topology";
-  IterationTable Table = Prog.Nests[0].enumerate();
-  MachineSim Sim(Topo);
-
-  Mapping Barrier;
-  Barrier.NumCores = Topo.numCores();
-  Barrier.CoreIterations =
-      makeRandomPartition(Table.size(), Topo.numCores(), Rng);
-  Barrier.BarriersRequired = false;
-  EXPECT_TRUE(epochParallelEligible(Sim, Barrier));
-
-  // Point-to-point dependences interleave at access-wait granularity;
-  // the parallel engine refuses them.
-  Mapping P2P = Barrier;
-  P2P.Sync = SyncMode::PointToPoint;
-  SyncDep Dep;
-  Dep.Core = 1;
-  Dep.StartPos = 0;
-  Dep.PredCore = 0;
-  Dep.PredEndPos = 1;
-  P2P.PointDeps.push_back(Dep);
-  EXPECT_FALSE(epochParallelEligible(Sim, P2P));
-
-  // A trace log pins the global event order; traced runs stay sequential.
-  TraceLog Log;
-  Sim.setTraceLog(&Log);
-  EXPECT_FALSE(epochParallelEligible(Sim, Barrier));
-  Sim.setTraceLog(nullptr);
-  EXPECT_TRUE(epochParallelEligible(Sim, Barrier));
-}
-
-TEST(SimEquivalence, TracedRunsFallBackBitIdentically) {
-  // With a TraceLog attached, executeTrace must ignore Threads and emit
-  // the exact sequential event stream: same events, same order, same
-  // cycle stamps.
-  for (std::uint64_t Seed = 301; Seed <= 305; ++Seed) {
-    SplitMix64 Rng(Seed);
-    Program Prog = makeRandomProgram(Rng);
-    CacheTopology Topo = makeRandomTopology(Rng);
-    IterationTable Table = Prog.Nests[0].enumerate();
-    AddressMap Addrs(Prog.Arrays);
-    Mapping Map = makeRandomMapping(Table.size(), Topo.numCores(), Rng);
-    ASSERT_TRUE(Map.validate());
-    AccessTrace Trace = AccessTrace::compile(Prog, 0, Table, Addrs);
-
-    MachineSim SeqSim(Topo);
-    TraceLog SeqLog;
-    SeqSim.setTraceLog(&SeqLog);
-    ExecutionResult Seq = executeTrace(SeqSim, Trace, Map);
-
-    MachineSim ParSim(Topo);
-    TraceLog ParLog;
-    ParSim.setTraceLog(&ParLog);
-    SimExec Exec;
-    Exec.Threads = 4;
-    ExecutionResult Par = executeTrace(ParSim, Trace, Map, Exec);
-
-    expectIdentical(Par, Seq, Seed);
-    std::vector<TraceEvent> SeqEvents = SeqLog.events();
-    std::vector<TraceEvent> ParEvents = ParLog.events();
-    ASSERT_EQ(SeqEvents.size(), ParEvents.size()) << "seed " << Seed;
-    for (std::size_t I = 0; I != SeqEvents.size(); ++I) {
-      EXPECT_EQ(SeqEvents[I].Cycle, ParEvents[I].Cycle) << "seed " << Seed;
-      EXPECT_EQ(SeqEvents[I].Payload, ParEvents[I].Payload)
-          << "seed " << Seed;
-      EXPECT_EQ(SeqEvents[I].Core, ParEvents[I].Core) << "seed " << Seed;
-      EXPECT_EQ(SeqEvents[I].Node, ParEvents[I].Node) << "seed " << Seed;
-      EXPECT_EQ(SeqEvents[I].Kind, ParEvents[I].Kind) << "seed " << Seed;
+TEST(SimEquivalence, TracedEventStreamsMatchReference) {
+  // A traced run records every iteration and walks every access through
+  // MachineSim::access in phase 2: its event stream — cycle, core, node,
+  // kind and payload of each event — must equal the reference engine's
+  // at one and four phase-1 threads.
+  unsigned Degraded = 0;
+  for (std::uint64_t Seed = 301; Seed <= 330; ++Seed) {
+    const RandomConfig Cfg(Seed);
+    Degraded += !Cfg.Topo.uniformSpeed();
+    for (Regime Mode : AllRegimes) {
+      SCOPED_TRACE("regime " + std::to_string(static_cast<int>(Mode)));
+      const Mapping Map = Cfg.mapping(Mode);
+      MachineSim RefSim(Cfg.Topo);
+      TraceLog RefLog;
+      RefSim.setTraceLog(&RefLog);
+      const ExecutionResult Ref = executeMappingReference(
+          RefSim, Cfg.Prog, 0, Cfg.Table, Map, Cfg.Addrs);
+      for (unsigned Threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(Threads));
+        SimExec Exec;
+        Exec.Threads = Threads;
+        MachineSim Sim(Cfg.Topo);
+        TraceLog Log;
+        Sim.setTraceLog(&Log);
+        expectIdentical(executeTrace(Sim, Cfg.Trace, Map, Exec), Ref, Seed);
+        expectSameEvents(Log, RefLog, Seed);
+      }
     }
   }
+  EXPECT_GT(Degraded, 0u);
 }
 
 TEST(SimEquivalence, SimThreadsArtifactsByteEqual) {
   // End to end through serve::Service: the same task run cold under
   // --sim-threads=1 and --sim-threads=4 must produce byte-identical run
-  // artifacts once the engine-side observability (wall-clock phases and
-  // engine-internal counters) is stripped — in particular the same
-  // fingerprint: thread count is deliberately not part of the cache key.
+  // artifacts, engine counters included, once the wall-clock phases are
+  // stripped — in particular the same fingerprint: thread count is
+  // deliberately not part of the cache key.
   auto runWith = [](unsigned SimThreads) {
     serve::Service::Config Cfg;
     Cfg.Jobs = 1;
@@ -427,7 +437,6 @@ TEST(SimEquivalence, SimThreadsArtifactsByteEqual) {
   for (obs::RunArtifact *A : {&Seq, &Par}) {
     A->MappingSeconds = 0.0; // wall clock
     A->Phases.clear();       // wall clock
-    A->Counters.clear();     // engine-internal (sim.batch.* vs sim.parallel.*)
   }
   obs::JsonWriter SeqW, ParW;
   Seq.writeJson(SeqW);

@@ -121,10 +121,10 @@ const char *UsageText =
     "  --emit-trace P   write the Perfetto-loadable cta-trace-v1 Chrome\n"
     "                   trace-event JSON to P (needs exactly one --machine;\n"
     "                   on `cta run` this turns event tracing on)\n"
-    "  --sim-threads N  engine threads per run: 1 = sequential (default),\n"
-    "                   0 = hardware threads, N > 1 = epoch-parallel\n"
-    "                   engine; results are bit-identical for every value\n"
-    "                   (see `cta list` for which runs can parallelize)\n"
+    "  --sim-threads N  threads sharing the engine's per-core phase 1:\n"
+    "                   1 = the calling thread (default), 0 = hardware\n"
+    "                   threads, N > 1 = at most N; results are\n"
+    "                   bit-identical for every value\n"
     "  --jobs N, --cache-dir P, --no-timing   (exec/ flags, as in benches)\n";
 
 [[noreturn]] void usageError(const std::string &Msg) {
@@ -248,27 +248,15 @@ int runList() {
                      Strategy::AdaptiveGreedy, Strategy::AdaptiveMW})
     std::printf("  %-14s %s\n", strategyName(S), strategyDescription(S));
   std::printf(
-      "\nsimulator engines (selected with `--sim-threads N`):\n"
-      "  sequential     the default (--sim-threads=1): one event heap\n"
-      "                 interleaves all cores; works for every schedule\n"
-      "  epoch-parallel --sim-threads=0|N>1: per-core private-cache epochs\n"
-      "                 run concurrently, shared-level probes replay in\n"
-      "                 deterministic (cycle, core) order at round merges;\n"
-      "                 bit-identical cycles and statistics to sequential\n"
-      "\n"
-      "  eligible: barrier-synchronized and free-running schedules — every\n"
-      "  static strategy above on every multi-core machine/topology. Runs\n"
-      "  fall back to the sequential engine automatically when the schedule\n"
-      "  uses point-to-point dependence synchronization (workloads marked\n"
-      "  \"loop-carried dependences\" under some strategies), when event\n"
-      "  tracing is on (`cta trace` / --emit-trace need the global event\n"
-      "  order), when the machine has a single core, when any core declares\n"
-      "  a speed/disabled attribute (heterogeneous timing breaks the epoch\n"
-      "  partition), or when the strategy is adaptive: adaptive-greedy and\n"
-      "  adaptive-mw remap iteration groups at round boundaries from\n"
-      "  observed cache feedback, which needs the sequential engine's\n"
-      "  global event order (exactly like tracing). Adaptive runs stay\n"
-      "  deterministic — byte-identical artifacts at every --jobs count.\n");
+      "\nsimulator engine (one for every run):\n"
+      "  phase 1 sweeps each core's iterations through its private caches;\n"
+      "  phase 2 replays what they could not resolve through the shared\n"
+      "  levels on one (cycle, core) heap, honouring barriers,\n"
+      "  point-to-point waits and per-core speed=. Traced and\n"
+      "  point-to-point runs replay every iteration; adaptive strategies\n"
+      "  run one epoch per remap round. `--sim-threads N` spreads phase 1\n"
+      "  over N threads (adaptive runs stay on one); cycles and\n"
+      "  statistics are identical for every N and every --jobs count.\n");
   return 0;
 }
 
@@ -326,24 +314,11 @@ int runCheck(const std::vector<std::string> &Args) {
 /// the separate-value form so the main scanner does not mistake the value
 /// for a positional argument.
 bool isExecFlag(int argc, char **argv, int &I) {
-  const char *Arg = argv[I];
-  for (const char *Prefix :
-       {"--jobs=", "--sim-threads=", "--cache-dir=", "--emit-json=",
-        "--adapt-interval=", "--adapt-policy="})
-    if (std::strncmp(Arg, Prefix, std::strlen(Prefix)) == 0)
-      return true;
-  if (std::strcmp(Arg, "--no-timing") == 0)
-    return true;
-  for (const char *Flag : {"--jobs", "--sim-threads", "--cache-dir",
-                           "--emit-json", "--adapt-interval",
-                           "--adapt-policy"})
-    if (std::strcmp(Arg, Flag) == 0) {
-      if (I + 1 >= argc)
-        usageError(std::string(Flag) + " needs a value");
-      ++I;
-      return true;
-    }
-  return false;
+  const char *Value = nullptr;
+  const ExecFlag *F = matchExecFlag(argc, argv, I, Value);
+  if (F != nullptr && F->TakesValue && Value == nullptr)
+    usageError(std::string(F->Name) + " needs a value");
+  return F != nullptr;
 }
 
 double parseDoubleOrDie(const char *Flag, const std::string &Value) {
