@@ -57,6 +57,8 @@ constexpr ExecFlag Flags[] = {
 
 } // namespace
 
+std::span<const ExecFlag> cta::execFlags() { return Flags; }
+
 const ExecFlag *cta::matchExecFlag(int argc, char **argv, int &I,
                                    const char *&Value) {
   const char *Arg = argv[I];

@@ -14,6 +14,7 @@
 #ifndef CTA_EXEC_EXECCONFIG_H
 #define CTA_EXEC_EXECCONFIG_H
 
+#include <span>
 #include <string>
 
 namespace cta {
@@ -63,6 +64,10 @@ struct ExecFlag {
   /// name) labels the fatal error for a malformed value.
   void (*Set)(ExecConfig &Config, const char *What, const char *Value);
 };
+
+/// Every row of the flag table, in the order parseExecArgs reads the
+/// environment.
+std::span<const ExecFlag> execFlags();
 
 /// Matches argv[\p I] against the flag table. On a match returns the row
 /// and sets \p Value to the flag's value — null for a bare flag, or when

@@ -369,15 +369,63 @@ std::optional<RunTask> cta::serve::buildRunTask(const ServeRequest &Req,
   return Task;
 }
 
+std::string cta::serve::taskKey(const ServeRequest &Req) {
+  std::string Key;
+  // A length before every string and a presence byte before every
+  // optional number, so requests that differ never share a key.
+  auto addBits = [&Key](std::uint64_t Bits) {
+    Key.append(reinterpret_cast<const char *>(&Bits), sizeof(Bits));
+  };
+  auto addString = [&](const std::string &S) {
+    addBits(S.size());
+    Key += S;
+  };
+  auto addDouble = [&](double V) {
+    std::uint64_t Bits;
+    std::memcpy(&Bits, &V, sizeof(Bits));
+    addBits(Bits);
+  };
+  auto addOptional = [&Key](const auto &V, auto Add) {
+    Key += V ? '\1' : '\0';
+    if (V)
+      Add(*V);
+  };
+  for (const std::string *S :
+       {&Req.Workload, &Req.Dsl, &Req.Machine, &Req.Topo, &Req.RunsOn,
+        &Req.RunsOnTopo, &Req.Strategy})
+    addString(*S);
+  addDouble(Req.Scale);
+  addOptional(Req.Alpha, addDouble);
+  addOptional(Req.Beta, addDouble);
+  addOptional(Req.BlockSize, addBits);
+  addOptional(Req.AdaptInterval, addBits);
+  return Key;
+}
+
 //===----------------------------------------------------------------------===//
 // Responses
 //===----------------------------------------------------------------------===//
+
+std::string cta::serve::renderRunJson(const obs::RunArtifact &Run) {
+  obs::JsonWriter W;
+  Run.writeJson(W);
+  return W.str();
+}
 
 std::string cta::serve::renderOkResponse(const std::string &Id,
                                          const char *CacheStatus,
                                          double QueueSeconds,
                                          double ServiceSeconds,
                                          const obs::RunArtifact &Run) {
+  return renderOkResponse(Id, CacheStatus, QueueSeconds, ServiceSeconds,
+                          renderRunJson(Run));
+}
+
+std::string cta::serve::renderOkResponse(const std::string &Id,
+                                         const char *CacheStatus,
+                                         double QueueSeconds,
+                                         double ServiceSeconds,
+                                         std::string_view RunJson) {
   obs::JsonWriter W;
   W.beginObject();
   W.key("schema");
@@ -393,9 +441,14 @@ std::string cta::serve::renderOkResponse(const std::string &Id,
   W.key("service_seconds");
   W.value(ServiceSeconds);
   W.key("run");
-  Run.writeJson(W);
-  W.endObject();
-  return W.str();
+  // The writer holds the head up to `"run":`; the run object and the
+  // closing brace follow as bytes.
+  std::string Out;
+  Out.reserve(W.str().size() + RunJson.size() + 1);
+  Out += W.str();
+  Out += RunJson;
+  Out += '}';
+  return Out;
 }
 
 std::string cta::serve::renderErrorResponse(const std::string &Id,

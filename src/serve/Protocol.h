@@ -61,6 +61,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace cta::serve {
 
@@ -146,6 +147,13 @@ std::optional<ServeRequest> parseServeRequest(const JsonValue &Doc,
 std::optional<RunTask> buildRunTask(const ServeRequest &Req,
                                     RequestError &Err);
 
+/// The bytes of every request field that shapes a successful answer's run
+/// object: each string and each number's bit pattern, so 0.03125 and
+/// 3.125e-2 give one key. Id and Client name the caller, and DslName only
+/// labels parse diagnostics, so none of them is part of it. Requests with
+/// equal keys build equal tasks under equal labels.
+std::string taskKey(const ServeRequest &Req);
+
 //===----------------------------------------------------------------------===//
 // Responses
 //===----------------------------------------------------------------------===//
@@ -156,6 +164,17 @@ std::optional<RunTask> buildRunTask(const ServeRequest &Req,
 std::string renderOkResponse(const std::string &Id, const char *CacheStatus,
                              double QueueSeconds, double ServiceSeconds,
                              const obs::RunArtifact &Run);
+
+/// The same response around \p RunJson, a run object as renderRunJson
+/// wrote it. Every ok response's head (schema, id, status, cache_status,
+/// queue and service seconds) is written here.
+std::string renderOkResponse(const std::string &Id, const char *CacheStatus,
+                             double QueueSeconds, double ServiceSeconds,
+                             std::string_view RunJson);
+
+/// \p Run as the standalone cta-run-artifact-v1 object an ok response
+/// embeds.
+std::string renderRunJson(const obs::RunArtifact &Run);
 
 /// Renders an error response ("bad_request" | "parse" | "overloaded" |
 /// "shutdown").

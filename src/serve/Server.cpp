@@ -2,6 +2,7 @@
 
 #include "serve/Server.h"
 
+#include "exec/ExecConfig.h"
 #include "obs/ObsScope.h"
 #include "serve/Json.h"
 #include "serve/Metrics.h"
@@ -14,6 +15,7 @@
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <poll.h>
@@ -45,12 +47,47 @@ std::uint64_t latencyMicros(double Seconds) {
 // Argument parsing
 //===----------------------------------------------------------------------===//
 
+/// The exec-table rows `cta serve` takes. The rest (--no-timing,
+/// --emit-json, --adapt-*) shape bench output or a single run, not a
+/// daemon.
+static bool isServeExecFlag(const ExecFlag &F) {
+  for (const char *Name : {"--jobs", "--sim-threads", "--cache-dir"})
+    if (std::strcmp(F.Name, Name) == 0)
+      return true;
+  return false;
+}
+
 ServerOptions cta::serve::parseServeArgs(const std::vector<std::string> &Args) {
+  // The exec settings: environment first, then the flags over it, as
+  // parseExecArgs reads them.
+  ExecConfig Exec;
+  for (const ExecFlag &F : execFlags())
+    if (isServeExecFlag(F))
+      if (const char *Env = std::getenv(F.Env))
+        F.Set(Exec, F.Env, Env);
+  std::vector<char *> Argv; // Args as matchExecFlag reads them
+  for (const std::string &Arg : Args)
+    Argv.push_back(const_cast<char *>(Arg.c_str()));
+  const int Argc = static_cast<int>(Argv.size());
+
   ServerOptions Opts;
-  for (std::size_t I = 0; I != Args.size(); ++I) {
+  for (int I = 0; I != Argc; ++I) {
     const std::string &Arg = Args[I];
+    auto unknownFlag = [&] {
+      reportFatalError(
+          ("unknown `cta serve` flag '" + Arg + "'").c_str());
+    };
+    const char *ExecValue = nullptr;
+    if (const ExecFlag *F = matchExecFlag(Argc, Argv.data(), I, ExecValue)) {
+      if (!isServeExecFlag(*F))
+        unknownFlag();
+      if (ExecValue == nullptr)
+        reportFatalError((std::string(F->Name) + " needs a value").c_str());
+      F->Set(Exec, F->Name, ExecValue);
+      continue;
+    }
     auto value = [&](const char *Flag) -> const std::string & {
-      if (I + 1 >= Args.size())
+      if (I + 1 >= Argc)
         reportFatalError((std::string(Flag) + " needs a value").c_str());
       return Args[++I];
     };
@@ -70,15 +107,6 @@ ServerOptions cta::serve::parseServeArgs(const std::vector<std::string> &Args) {
     std::string Value;
     if (match("--socket", Value)) {
       Opts.SocketPath = Value;
-    } else if (match("--jobs", Value)) {
-      Opts.Jobs = static_cast<unsigned>(
-          parseUint64OrDie("--jobs", Value.c_str(), /*Max=*/UINT_MAX));
-    } else if (match("--sim-threads", Value)) {
-      Opts.SimThreads = static_cast<unsigned>(
-          parseUint64OrDie("--sim-threads", Value.c_str(),
-                           /*Max=*/UINT_MAX));
-    } else if (match("--cache-dir", Value)) {
-      Opts.CacheDir = Value;
     } else if (match("--max-inflight", Value)) {
       Opts.MaxInflight = static_cast<std::size_t>(
           parseUint64OrDie("--max-inflight", Value.c_str()));
@@ -100,12 +128,14 @@ ServerOptions cta::serve::parseServeArgs(const std::vector<std::string> &Args) {
         reportFatalError("--log-json needs a file path");
       Opts.LogJsonPath = Value;
     } else {
-      reportFatalError(
-          ("unknown `cta serve` flag '" + Arg + "'").c_str());
+      unknownFlag();
     }
   }
   if (Opts.SocketPath.empty())
     reportFatalError("`cta serve` needs --socket=PATH");
+  Opts.Jobs = Exec.Jobs;
+  Opts.SimThreads = Exec.SimThreads;
+  Opts.CacheDir = Exec.CacheDir;
   return Opts;
 }
 
@@ -417,6 +447,20 @@ void Server::handleRequest(const std::shared_ptr<Connection> &Conn,
                   /*IsError=*/true);
     return;
   }
+
+  // A request answered warm before: splice the memoised run object under
+  // a fresh head. No DSL or .topo parse, no fingerprint, no render.
+  std::string Key = taskKey(*Req);
+  if (std::shared_ptr<const std::string> Run = findWarmRun(Key)) {
+    NumMemoHits.fetch_add(1);
+    const double ServiceSeconds = countWarmAnswer(Received);
+    writeResponse(Conn,
+                  renderOkResponse(Req->Id, "warm", /*QueueSeconds=*/0.0,
+                                   ServiceSeconds, *Run),
+                  /*IsError=*/false);
+    return;
+  }
+
   std::optional<RunTask> Task = buildRunTask(*Req, Err);
   if (!Task) {
     writeResponse(Conn, renderErrorResponse(Req->Id, Err.Kind, Err.Message),
@@ -430,20 +474,20 @@ void Server::handleRequest(const std::shared_ptr<Connection> &Conn,
   // answer never enters. Logging every warm answer would both turn the
   // log into a firehose at warm-index rates and cost double-digit warm
   // throughput (per-line flush under the log mutex); warm latency is
-  // already captured by the TierLatency histogram below.
-  const std::uint64_t Key = Service::fingerprint(*Task);
-  if (std::shared_ptr<const TaskOutcome> W = Svc.lookupWarm(Key)) {
+  // already captured by the TierLatency histogram. The answer's run
+  // object fills the memo for the next request with this key.
+  const std::uint64_t Fingerprint = Service::fingerprint(*Task);
+  if (std::shared_ptr<const TaskOutcome> W = Svc.lookupWarm(Fingerprint)) {
     obs::RunArtifact A = W->Artifact;
     A.CacheStatus = "warm";
     A.Label = Task->Label;
-    NumWarm.fetch_add(1);
-    const double ServiceSeconds = secondsBetween(Received, SteadyClock::now());
-    TierLatency[static_cast<int>(Service::Tier::Warm)].record(
-        latencyMicros(ServiceSeconds));
+    const double ServiceSeconds = countWarmAnswer(Received);
+    std::string RunJson = renderRunJson(A);
     writeResponse(Conn,
                   renderOkResponse(Req->Id, "warm", /*QueueSeconds=*/0.0,
-                                   ServiceSeconds, A),
+                                   ServiceSeconds, RunJson),
                   /*IsError=*/false);
+    memoizeWarmRun(std::move(Key), std::move(RunJson));
     return;
   }
 
@@ -495,6 +539,43 @@ void Server::handleRequest(const std::shared_ptr<Connection> &Conn,
                   /*IsError=*/true);
     break;
   }
+}
+
+double Server::countWarmAnswer(SteadyClock::time_point Received) {
+  NumWarm.fetch_add(1);
+  const double ServiceSeconds = secondsBetween(Received, SteadyClock::now());
+  TierLatency[static_cast<int>(Service::Tier::Warm)].record(
+      latencyMicros(ServiceSeconds));
+  return ServiceSeconds;
+}
+
+std::shared_ptr<const std::string>
+Server::findWarmRun(const std::string &Key) {
+  std::lock_guard<std::mutex> Lock(MemoMutex);
+  auto It = Memo.find(Key);
+  return It == Memo.end() ? nullptr : It->second;
+}
+
+void Server::memoizeWarmRun(std::string Key, std::string RunJson) {
+  const std::size_t Bytes = Key.size() + RunJson.size();
+  if (Bytes > WarmMemoBudgetBytes)
+    return;
+  auto Run = std::make_shared<const std::string>(std::move(RunJson));
+  std::lock_guard<std::mutex> Lock(MemoMutex);
+  if (Memo.count(Key))
+    return; // another reader filled it first
+  if (MemoBytes + Bytes > WarmMemoBudgetBytes) {
+    Memo.clear();
+    MemoBytes = 0;
+  }
+  Memo.emplace(std::move(Key), std::move(Run));
+  MemoBytes += Bytes;
+  NumMemoFills.fetch_add(1);
+}
+
+std::size_t Server::warmMemoBytes() const {
+  std::lock_guard<std::mutex> Lock(MemoMutex);
+  return MemoBytes;
 }
 
 void Server::readerLoop(std::shared_ptr<Connection> Conn) {
@@ -576,6 +657,8 @@ obs::TelemetrySnapshot Server::telemetrySnapshot() {
   S.Counters["serve.errors"] = NumErrors.load();
   S.Counters["serve.shed"] = NumShed.load();
   S.Counters["serve.warm"] = NumWarm.load();
+  S.Counters["serve.warm_memo.hits"] = NumMemoHits.load();
+  S.Counters["serve.warm_memo.fills"] = NumMemoFills.load();
   S.Counters["serve.connections"] = NumConnections.load();
   S.Counters["serve.stats_requests"] = NumStatsRequests.load();
   S.Counters["serve.cache.hits"] = Svc.cache().hits();

@@ -13,9 +13,11 @@
 ///
 ///   accept loop (run())  — polls the listener and the shutdown self-pipe;
 ///                          spawns one reader thread per connection.
-///   reader threads       — frame + parse + buildRunTask; answer warm
-///                          requests inline from the Service's in-memory
-///                          index; hand cold requests to admission.
+///   reader threads       — frame + parse; answer a request seen warm
+///                          before from the warm memo, else buildRunTask
+///                          and answer warm requests inline from the
+///                          Service's in-memory index; hand cold requests
+///                          to admission.
 ///   dispatcher thread    — pulls fair round-robin batches from the
 ///                          AdmissionController and submits them to the
 ///                          Service (identical fingerprints in one batch
@@ -48,10 +50,12 @@
 #include "serve/Service.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace cta::serve {
@@ -78,8 +82,10 @@ struct ServerOptions {
 /// Parses `cta serve` arguments: --socket=PATH, --max-inflight=N,
 /// --max-batch=N, --batch-window-ms=N, --metrics-port=N, --log-json=FILE
 /// (strict decimal via support/ParseNumber; malformed values abort), plus
-/// the exec flags --jobs / --sim-threads / --cache-dir.
-/// Aborts on unknown flags or a missing --socket.
+/// three rows of the exec/ExecConfig.h table: --jobs, --sim-threads and
+/// --cache-dir, whose CTA_JOBS, CTA_SIM_THREADS and CTA_CACHE_DIR
+/// variables they override. Aborts on unknown flags (the table's other
+/// rows included) or a missing --socket.
 ServerOptions parseServeArgs(const std::vector<std::string> &Args);
 
 /// Lifetime counters the daemon prints on shutdown (and tests assert on).
@@ -88,7 +94,7 @@ struct ServerStats {
   std::uint64_t Ok = 0;          ///< Ok responses written.
   std::uint64_t Errors = 0;      ///< Error responses written (all kinds).
   std::uint64_t Shed = 0;        ///< Overloaded rejections (subset of Errors).
-  std::uint64_t Warm = 0;        ///< Answered inline from the warm index.
+  std::uint64_t Warm = 0;        ///< Answered warm: memo or warm index.
   std::uint64_t Connections = 0; ///< Connections ever accepted.
 };
 
@@ -125,6 +131,12 @@ public:
   Service &service() { return Svc; }
   const ServerOptions &options() const { return Opts; }
 
+  /// The warm memo's byte budget over keys plus bodies.
+  static constexpr std::size_t WarmMemoBudgetBytes = 8u << 20;
+
+  /// Bytes the warm memo holds now, keys plus bodies (tests/inspection).
+  std::size_t warmMemoBytes() const;
+
   /// Assembles one live cross-subsystem snapshot: serve counters, per-tier
   /// latency and queue-depth histograms, Service/RunCache totals and the
   /// grid sink's counter families (runtime.adapt.*, sim.*). Thread-safe;
@@ -144,6 +156,12 @@ private:
   void completerLoop();
   void handleRequest(const std::shared_ptr<Connection> &Conn,
                      const std::string &Payload);
+  /// Counts one warm answer to a request received at \p Received and
+  /// returns its service seconds, taken now, before the response is built.
+  double countWarmAnswer(std::chrono::steady_clock::time_point Received);
+  /// The memoised run object of a request with \p Key; null if none.
+  std::shared_ptr<const std::string> findWarmRun(const std::string &Key);
+  void memoizeWarmRun(std::string Key, std::string RunJson);
   /// Appends one lifecycle event for \p P to the event log; a no-op when
   /// the log is off. \p Seconds < 0 means "not a closing event".
   void logEvent(const PendingRequest &P, const char *Name,
@@ -178,6 +196,23 @@ private:
 
   std::atomic<std::uint64_t> NumRequests{0}, NumOk{0}, NumErrors{0},
       NumShed{0}, NumWarm{0}, NumConnections{0};
+
+  /// The warm memo: taskKey(request) -> the run object of that request's
+  /// warm answer, as bytes. An entry is filled only right after the warm
+  /// index answered its request (never for an error, a cold miss, a
+  /// coalesced or a shed request), and a later request with the same key
+  /// is answered by splicing those bytes under a fresh head. Entries never
+  /// go stale: the warm index never drops or replaces a fingerprint,
+  /// because Service::submit answers a warm key before it would run it
+  /// again. If the index ever gains eviction, this memo must be cleared
+  /// with it. Keys hold the DSL and .topo texts, and texts differing only
+  /// in comments share one fingerprint under many keys, so the memo is
+  /// bounded by WarmMemoBudgetBytes: an insert that would exceed it clears
+  /// the memo first, and the warm index refills it.
+  mutable std::mutex MemoMutex;
+  std::unordered_map<std::string, std::shared_ptr<const std::string>> Memo;
+  std::size_t MemoBytes = 0;
+  std::atomic<std::uint64_t> NumMemoHits{0}, NumMemoFills{0};
 
   // Telemetry plane. Lives entirely at the Server level and never touches
   // run sinks, so artifacts stay deterministic with telemetry on or off.

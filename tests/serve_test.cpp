@@ -21,6 +21,7 @@
 
 #include "driver/Experiment.h"
 #include "exec/RunCache.h"
+#include "obs/Json.h"
 #include "sim/TraceLog.h"
 #include "support/Hashing.h"
 #include "topo/Presets.h"
@@ -30,6 +31,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -310,6 +312,41 @@ TEST(ServeRequestTest, RequestTaskMatchesCliTaskFingerprint) {
   ASSERT_TRUE(Task.has_value()) << Err.Message;
   EXPECT_EQ(Service::fingerprint(*Task),
             Service::fingerprint(cliEquivalentTask()));
+}
+
+TEST(ServeRequestTest, TaskKeyNamesTheTaskNotTheCaller) {
+  auto keyOf = [](const std::string &Payload) {
+    RequestError Err;
+    std::optional<ServeRequest> Req = parseServeRequest(Payload, Err);
+    EXPECT_TRUE(Req.has_value()) << Err.Message;
+    return Req ? taskKey(*Req) : std::string();
+  };
+  const std::string Base = keyOf(minimalRequest());
+  // Id, client and dsl_name name the caller or its diagnostics.
+  EXPECT_EQ(keyOf(minimalRequest(",\"id\":\"a\",\"client\":\"c\","
+                                 "\"dsl_name\":\"x.cta\"")),
+            Base);
+  // Numbers key by value: the default scale written two ways.
+  EXPECT_EQ(keyOf(minimalRequest(",\"scale\":0.03125")), Base);
+  EXPECT_EQ(keyOf(minimalRequest(",\"scale\":3.125e-2")), Base);
+  EXPECT_EQ(keyOf(minimalRequest(",\"alpha\":0.625")),
+            keyOf(minimalRequest(",\"alpha\":6.25e-1")));
+  // Every other field is part of the key, and an absent option differs
+  // from a present one.
+  for (const char *Extra :
+       {",\"alpha\":0.625", ",\"alpha\":-0.0", ",\"alpha\":0",
+        ",\"beta\":0.625", ",\"scale\":0.5", ",\"block_size\":2048",
+        ",\"adapt_interval\":4", ",\"strategy\":\"base\"",
+        ",\"runs_on\":\"nehalem\"", ",\"runs_on_topo\":\"mem:50\""})
+    EXPECT_NE(keyOf(minimalRequest(Extra)), Base) << Extra;
+  EXPECT_NE(keyOf(minimalRequest(",\"alpha\":-0.0")),
+            keyOf(minimalRequest(",\"alpha\":0")));
+  EXPECT_NE(keyOf("{\"schema\":\"cta-serve-req-v1\",\"workload\":\"sp\","
+                  "\"machine\":\"dunnington\"}"),
+            Base);
+  EXPECT_NE(keyOf("{\"schema\":\"cta-serve-req-v1\",\"workload\":\"cg\","
+                  "\"machine\":\"nehalem\"}"),
+            Base);
 }
 
 //===----------------------------------------------------------------------===//
@@ -623,6 +660,52 @@ TEST(ServeFlagsTest, TelemetryFlagsParse) {
   EXPECT_EQ(Ephemeral.MetricsPort, 0u);
 }
 
+TEST(ServeFlagsTest, ExecSettingsReadTheEnvironmentUnderTheFlags) {
+  ::setenv("CTA_JOBS", "1", 1);
+  ::setenv("CTA_SIM_THREADS", "3", 1);
+  ::setenv("CTA_CACHE_DIR", "/tmp/env-cache", 1);
+  ServerOptions Env = parseServeArgs({"--socket=/tmp/s"});
+  EXPECT_EQ(Env.Jobs, 1u);
+  EXPECT_EQ(Env.SimThreads, 3u);
+  EXPECT_EQ(Env.CacheDir, "/tmp/env-cache");
+
+  ServerOptions Flags =
+      parseServeArgs({"--socket=/tmp/s", "--jobs=2", "--sim-threads", "4",
+                      "--cache-dir", "/tmp/flag-cache"});
+  EXPECT_EQ(Flags.Jobs, 2u);
+  EXPECT_EQ(Flags.SimThreads, 4u);
+  EXPECT_EQ(Flags.CacheDir, "/tmp/flag-cache");
+
+  ::unsetenv("CTA_JOBS");
+  ::unsetenv("CTA_SIM_THREADS");
+  ::unsetenv("CTA_CACHE_DIR");
+  ServerOptions Defaults = parseServeArgs({"--socket=/tmp/s"});
+  EXPECT_EQ(Defaults.Jobs, 0u);
+  EXPECT_EQ(Defaults.SimThreads, 1u);
+  EXPECT_TRUE(Defaults.CacheDir.empty());
+}
+
+TEST(ServeFlagsDeathTest, OnlyThreeExecTableRowsAreServeFlags) {
+  // The table's other rows shape bench output or a single run.
+  EXPECT_DEATH(parseServeArgs({"--socket", "s", "--no-timing"}),
+               "unknown `cta serve` flag '--no-timing'");
+  EXPECT_DEATH(parseServeArgs({"--socket", "s", "--emit-json", "out.json"}),
+               "unknown `cta serve` flag '--emit-json'");
+  EXPECT_DEATH(parseServeArgs({"--socket", "s", "--adapt-interval=4"}),
+               "unknown `cta serve` flag '--adapt-interval=4'");
+  EXPECT_DEATH(parseServeArgs({"--socket", "s", "--jobs"}),
+               "--jobs needs a value");
+  EXPECT_DEATH(parseServeArgs({"--socket", "s", "--sim-threads=x"}),
+               "--sim-threads");
+  // A malformed variable is named in the diagnostic.
+  EXPECT_DEATH(
+      {
+        ::setenv("CTA_JOBS", "4x", 1);
+        parseServeArgs({"--socket", "s"});
+      },
+      "CTA_JOBS");
+}
+
 TEST(ClientFlagsDeathTest, StrictNumericParsing) {
   EXPECT_DEATH(parseClientArgs({"--socket", "s", "--concurrency", "8x"}),
                "--concurrency");
@@ -676,15 +759,35 @@ int connectTo(const std::string &Path) {
   return Fd;
 }
 
-/// Sends one frame and parses the response document.
-JsonValue sendRecv(int Fd, const std::string &Request) {
+/// Sends one frame and returns the response frame's bytes.
+std::string sendRecvRaw(int Fd, const std::string &Request) {
   std::string Err;
   EXPECT_TRUE(writeFrame(Fd, Request, &Err)) << Err;
   std::string Payload;
   EXPECT_EQ(readFrame(Fd, Payload, &Err), FrameStatus::Ok) << Err;
+  return Payload;
+}
+
+JsonValue parseDoc(const std::string &Payload) {
+  std::string Err;
   std::optional<JsonValue> Doc = parseJson(Payload, &Err);
   EXPECT_TRUE(Doc.has_value()) << Err;
   return Doc ? *Doc : JsonValue{};
+}
+
+/// Sends one frame and parses the response document.
+JsonValue sendRecv(int Fd, const std::string &Request) {
+  return parseDoc(sendRecvRaw(Fd, Request));
+}
+
+/// The bytes of an ok response's run object: everything after the head's
+/// `"run":` but the closing brace.
+std::string rawRun(const std::string &Frame) {
+  const std::string Key = ",\"run\":";
+  const std::size_t At = Frame.find(Key);
+  if (At == std::string::npos || Frame.empty() || Frame.back() != '}')
+    return "";
+  return Frame.substr(At + Key.size(), Frame.size() - At - Key.size() - 1);
 }
 
 class ServerTest : public TempDirTest {
@@ -858,6 +961,125 @@ TEST_F(ServerTest, ConcurrentClientsAllGetAnswers) {
   EXPECT_EQ(OkCount.load(), NumClients * PerClient);
   // All clients asked for the same spec: exactly one simulator run.
   EXPECT_EQ(Daemon->service().simulatorInvocations(), 1u);
+}
+
+/// The run object a warm answer to \p Request carries, rendered from the
+/// warm index the way the daemon renders it without the memo.
+std::string warmIndexRun(Server &Daemon, const std::string &Request) {
+  RequestError Err;
+  std::optional<ServeRequest> Req = parseServeRequest(Request, Err);
+  std::optional<RunTask> Task;
+  if (Req)
+    Task = buildRunTask(*Req, Err);
+  if (!Task) {
+    ADD_FAILURE() << Err.Message;
+    return "";
+  }
+  std::shared_ptr<const TaskOutcome> W =
+      Daemon.service().lookupWarm(Service::fingerprint(*Task));
+  if (!W) {
+    ADD_FAILURE() << "no warm index entry for " << Task->Label;
+    return "";
+  }
+  obs::RunArtifact A = W->Artifact;
+  A.CacheStatus = "warm";
+  A.Label = Task->Label;
+  return rawRun(renderOkResponse(Req->Id, "warm", 0.0, 0.0, A));
+}
+
+std::uint64_t memoCounter(Server &Daemon, const std::string &Name) {
+  return Daemon.telemetrySnapshot().Counters["serve.warm_memo." + Name];
+}
+
+TEST_F(ServerTest, RepeatedWarmRequestsAnswerFromTheMemo) {
+  startDaemon();
+  int Fd = connectTo(socketPath());
+  ASSERT_GE(Fd, 0);
+  // One spec, sent under a different id, client and dsl_name each time.
+  auto send = [&](const std::string &N) {
+    return sendRecvRaw(Fd, minimalRequest(",\"id\":\"r" + N +
+                                          "\",\"client\":\"c" + N +
+                                          "\",\"dsl_name\":\"n" + N +
+                                          ".cta\""));
+  };
+  auto statusOf = [](const std::string &Frame) {
+    return parseDoc(Frame).get("cache_status")->asString();
+  };
+
+  EXPECT_EQ(statusOf(send("1")), "miss");
+  EXPECT_EQ(Daemon->warmMemoBytes(), 0u); // a cold answer never fills
+  const std::string Fill = send("2");
+  EXPECT_EQ(statusOf(Fill), "warm");
+  EXPECT_EQ(memoCounter(*Daemon, "fills"), 1u);
+  EXPECT_EQ(memoCounter(*Daemon, "hits"), 0u);
+  const std::string Hit = send("3");
+  EXPECT_EQ(statusOf(Hit), "warm");
+  EXPECT_EQ(memoCounter(*Daemon, "fills"), 1u);
+  EXPECT_EQ(memoCounter(*Daemon, "hits"), 1u);
+  EXPECT_EQ(parseDoc(Hit).get("id")->asString(), "r3");
+  EXPECT_DOUBLE_EQ(parseDoc(Hit).get("queue_seconds")->asNumber(-1), 0.0);
+
+  // Fill and memo send the same run bytes, the ones the warm index gives.
+  ASSERT_FALSE(rawRun(Hit).empty());
+  EXPECT_EQ(rawRun(Fill), rawRun(Hit));
+  EXPECT_EQ(rawRun(Hit), warmIndexRun(*Daemon, minimalRequest()));
+
+  // Only alpha differs: another task, answered cold. The same alpha
+  // written another way is one key: filled once, then a memo hit.
+  EXPECT_EQ(statusOf(sendRecvRaw(Fd, minimalRequest(",\"alpha\":0.625"))),
+            "miss");
+  EXPECT_EQ(statusOf(sendRecvRaw(Fd, minimalRequest(",\"alpha\":6.25e-1"))),
+            "warm");
+  EXPECT_EQ(statusOf(sendRecvRaw(Fd, minimalRequest(",\"alpha\":0.625"))),
+            "warm");
+  EXPECT_EQ(memoCounter(*Daemon, "fills"), 2u);
+  EXPECT_EQ(memoCounter(*Daemon, "hits"), 2u);
+  ::close(Fd);
+
+  // Memo hits count as warm answers in the stats and the warm tier.
+  EXPECT_EQ(Daemon->stats().Warm, 4u);
+  EXPECT_EQ(Daemon->telemetrySnapshot().Counters["serve.tier.warm"], 4u);
+}
+
+TEST_F(ServerTest, CommentVariantsStayWithinTheMemoBudget) {
+  startDaemon();
+  int Fd = connectTo(socketPath());
+  ASSERT_GE(Fd, 0);
+  // .topo texts that differ only in a comment share one fingerprint but
+  // not one memo key. Each comment holds over a fifth of the budget, so
+  // at most four entries fit and six variants overflow it.
+  const std::string Pad(Server::WarmMemoBudgetBytes / 5, 'x');
+  auto variant = [&](int N) {
+    return "{\"schema\":\"cta-serve-req-v1\",\"workload\":\"cg\","
+           "\"topo\":\"" +
+           obs::jsonEscape("# " + std::to_string(N) + Pad +
+                           "\nmem:50 l2:64K:8:10 { core core }") +
+           "\"}";
+  };
+  ASSERT_EQ(sendRecv(Fd, variant(0)).get("cache_status")->asString(),
+            "miss");
+  const std::string Want = warmIndexRun(*Daemon, variant(0));
+  ASSERT_FALSE(Want.empty());
+
+  std::size_t Held = 0;
+  bool Cleared = false;
+  for (int N = 0; N != 6; ++N)
+    for (int Repeat = 0; Repeat != 2; ++Repeat) {
+      const std::string Frame = sendRecvRaw(Fd, variant(N));
+      EXPECT_EQ(parseDoc(Frame).get("cache_status")->asString(), "warm")
+          << "variant " << N;
+      EXPECT_EQ(rawRun(Frame), Want) << "variant " << N;
+      const std::size_t Bytes = Daemon->warmMemoBytes();
+      EXPECT_LE(Bytes, Server::WarmMemoBudgetBytes);
+      Cleared |= Bytes < Held;
+      Held = Bytes;
+    }
+  ::close(Fd);
+  EXPECT_TRUE(Cleared);
+  EXPECT_EQ(Daemon->service().warmIndexSize(), 1u);
+  // Each variant filled once and was answered from the memo once.
+  EXPECT_EQ(memoCounter(*Daemon, "fills"), 6u);
+  EXPECT_EQ(memoCounter(*Daemon, "hits"), 6u);
 }
 
 } // namespace
