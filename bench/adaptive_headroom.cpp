@@ -23,9 +23,9 @@
 
 #include "BenchCommon.h"
 #include "obs/Json.h"
+#include "support/CommandLine.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 using namespace cta;
@@ -121,11 +121,9 @@ int main(int argc, char **argv) {
   std::string AdaptiveJsonPath;
   if (const char *Env = std::getenv("CTA_EMIT_ADAPTIVE_JSON"))
     AdaptiveJsonPath = Env;
-  for (int I = 1; I < argc; ++I) {
-    constexpr const char *Prefix = "--emit-adaptive-json=";
-    if (std::strncmp(argv[I], Prefix, std::strlen(Prefix)) == 0)
-      AdaptiveJsonPath = argv[I] + std::strlen(Prefix);
-  }
+  const std::vector<std::string> Args(argv, argv + argc);
+  for (std::size_t I = 1; I < Args.size(); ++I)
+    matchFlag(Args, I, "--emit-adaptive-json", &AdaptiveJsonPath);
 
   ExperimentRunner Runner(parseExecArgs(argc, argv));
   printHeader("Adaptive headroom",

@@ -154,12 +154,13 @@ BENCHMARK(BM_RunFingerprint);
 int main(int argc, char **argv) {
   ExecConfig Config = parseExecArgs(argc, argv);
 
-  std::vector<char *> Filtered;
-  Filtered.reserve(static_cast<std::size_t>(argc) + 1);
-  for (int I = 0; I != argc; ++I) {
-    const char *Value = nullptr;
-    if (I == 0 || matchExecFlag(argc, argv, I, Value) == nullptr)
-      Filtered.push_back(argv[I]);
+  const std::vector<std::string> Args(argv, argv + argc);
+  std::vector<char *> Filtered = {argv[0]};
+  std::string Value;
+  for (std::size_t I = 1; I < Args.size(); ++I) {
+    const std::size_t At = I;
+    if (matchExecFlag(Args, I, Value) == nullptr)
+      Filtered.push_back(argv[At]);
   }
   Filtered.push_back(nullptr);
   int FilteredArgc = static_cast<int>(Filtered.size()) - 1;

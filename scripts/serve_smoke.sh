@@ -5,7 +5,7 @@
 # cta client load generator: a warm-only phase (every request after the
 # prime must be answered from the in-memory index), then a warm/cold mix
 # (cold requests carry unique alphas, so each one exercises the full
-# admission -> batch -> simulate path). Both the captured response
+# admission -> dispatch -> simulate path). Both the captured response
 # document and the bench report are validated against the published
 # schemas, and the daemon must drain cleanly on SIGTERM: exit 0, socket
 # unlinked, summary line on stderr.

@@ -53,37 +53,42 @@ struct ExecConfig {
   std::string AdaptPolicy;
 };
 
-/// One row of the flag table: a flag accepted as `--name=V` and
-/// `--name V` (bare when it takes no value) and the environment variable
-/// it overrides. A bare flag's variable counts by presence only.
+/// One row of the flag table: a flag read with support/CommandLine.h's
+/// grammar (`--name=V` and `--name V`, or bare `--name` when it takes no
+/// value) and the environment variable it overrides. A bare flag's
+/// variable counts by presence only.
 struct ExecFlag {
   const char *Name;
   const char *Env;
   bool TakesValue;
   /// Stores \p Value into \p Config; \p What (the flag or variable
-  /// name) labels the fatal error for a malformed value.
-  void (*Set)(ExecConfig &Config, const char *What, const char *Value);
+  /// name) labels the usage error for a malformed value.
+  void (*Set)(ExecConfig &Config, const char *What, const std::string &Value);
 };
 
 /// Every row of the flag table, in the order parseExecArgs reads the
 /// environment.
 std::span<const ExecFlag> execFlags();
 
-/// Matches argv[\p I] against the flag table. On a match returns the row
-/// and sets \p Value to the flag's value — null for a bare flag, or when
-/// the separate value is missing — advancing \p I past a separate value.
-/// Returns null for any other argument.
-const ExecFlag *matchExecFlag(int argc, char **argv, int &I,
-                              const char *&Value);
+/// Matches Args[I] against the flag table. On a match returns the row
+/// and sets \p Value to the flag's value (empty for a bare flag),
+/// advancing \p I past a separate value. Returns null for any other
+/// argument.
+const ExecFlag *matchExecFlag(std::span<const std::string> Args,
+                              std::size_t &I, std::string &Value);
 
-/// Reads the table's environment variables (CTA_JOBS, CTA_SIM_THREADS,
-/// CTA_ADAPT_INTERVAL, CTA_ADAPT_POLICY, CTA_CACHE_DIR, CTA_NO_TIMING,
-/// CTA_EMIT_JSON), then its flags from \p argv, which override them:
+/// A default ExecConfig under the table's environment variables
+/// (CTA_JOBS, CTA_SIM_THREADS, CTA_ADAPT_INTERVAL, CTA_ADAPT_POLICY,
+/// CTA_CACHE_DIR, CTA_NO_TIMING, CTA_EMIT_JSON).
+ExecConfig execConfigFromEnv();
+
+/// execConfigFromEnv(), then the table's flags from \p argv over it:
 /// --jobs, --sim-threads, --adapt-interval, --adapt-policy=greedy|mw,
 /// --cache-dir, --no-timing and --emit-json. Unrecognized arguments are
-/// left alone so benches can layer their own flags. Aborts on malformed
-/// values (anything that is not a plain in-range decimal for the numeric
-/// settings, or an unknown --adapt-policy name).
+/// left alone so benches can layer their own flags. A malformed value
+/// (anything that is not a plain in-range decimal for the numeric
+/// settings, or an unknown --adapt-policy name) is a usage error: the
+/// message names the flag or variable and the process exits 1.
 ExecConfig parseExecArgs(int argc, char **argv);
 
 } // namespace cta

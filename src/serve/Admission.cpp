@@ -24,7 +24,12 @@ AdmissionController::Admit AdmissionController::admit(const std::string &Client,
   return Admit::Admitted;
 }
 
-AdmissionController::Item AdmissionController::popRoundRobinLocked() {
+AdmissionController::Item AdmissionController::next() {
+  std::unique_lock<std::mutex> Lock(Mutex);
+  Available.wait(Lock, [this] { return TotalQueued > 0 || IsClosed; });
+  if (TotalQueued == 0)
+    return {}; // closed and drained: the dispatcher's exit signal
+  // The first non-empty client after LastClient in key order.
   auto It = Queues.upper_bound(LastClient);
   if (It == Queues.end())
     It = Queues.begin();
@@ -35,37 +40,6 @@ AdmissionController::Item AdmissionController::popRoundRobinLocked() {
     Queues.erase(It);
   --TotalQueued;
   return Work;
-}
-
-std::vector<AdmissionController::Item>
-AdmissionController::nextBatch(std::size_t MaxBatch,
-                               std::chrono::milliseconds Window) {
-  std::vector<Item> Batch;
-  if (MaxBatch == 0)
-    return Batch;
-  std::unique_lock<std::mutex> Lock(Mutex);
-  Available.wait(Lock, [this] { return TotalQueued > 0 || IsClosed; });
-  if (TotalQueued == 0)
-    return Batch; // closed and drained: the dispatcher's exit signal
-
-  // First item in hand; give stragglers one short window to join the
-  // batch, then dispatch whatever accumulated.
-  const auto Deadline = std::chrono::steady_clock::now() + Window;
-  while (true) {
-    while (TotalQueued > 0 && Batch.size() < MaxBatch)
-      Batch.push_back(popRoundRobinLocked());
-    if (Batch.size() >= MaxBatch || IsClosed)
-      break;
-    if (Available.wait_until(Lock, Deadline, [this] {
-          return TotalQueued > 0 || IsClosed;
-        })) {
-      if (TotalQueued > 0)
-        continue;
-      break; // closed
-    }
-    break; // window expired
-  }
-  return Batch;
 }
 
 void AdmissionController::release(std::size_t N) {

@@ -6,26 +6,21 @@
 #include "serve/Protocol.h"
 
 #include "obs/Json.h"
-#include "support/ErrorHandling.h"
+#include "support/CommandLine.h"
 #include "support/ParseNumber.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace cta;
@@ -37,87 +32,51 @@ using SteadyClock = std::chrono::steady_clock;
 // Argument parsing
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-double parseDoubleFlagOrDie(const char *Flag, const std::string &Value) {
-  try {
-    std::size_t End = 0;
-    double V = std::stod(Value, &End);
-    if (End != Value.size())
-      throw std::invalid_argument(Value);
-    return V;
-  } catch (const std::exception &) {
-    reportFatalError(
-        (std::string(Flag) + ": invalid numeric value '" + Value + "'")
-            .c_str());
-  }
-}
-
-} // namespace
-
 ClientOptions
 cta::serve::parseClientArgs(const std::vector<std::string> &Args) {
   ClientOptions Opts;
   for (std::size_t I = 0; I != Args.size(); ++I) {
     const std::string &Arg = Args[I];
-    auto value = [&](const char *Flag) -> const std::string & {
-      if (I + 1 >= Args.size())
-        reportFatalError((std::string(Flag) + " needs a value").c_str());
-      return Args[++I];
-    };
-    auto match = [&](const char *Flag, std::string &Out) {
-      std::size_t Len = std::strlen(Flag);
-      if (Arg == Flag) {
-        Out = value(Flag);
-        return true;
-      }
-      if (Arg.compare(0, Len, Flag) == 0 && Arg.size() > Len &&
-          Arg[Len] == '=') {
-        Out = Arg.substr(Len + 1);
-        return true;
-      }
-      return false;
-    };
     std::string Value;
-    if (match("--socket", Value)) {
+    if (matchFlag(Args, I, "--socket", &Value)) {
       Opts.SocketPath = Value;
-    } else if (match("--workload", Value)) {
+    } else if (matchFlag(Args, I, "--workload", &Value)) {
       Opts.WorkloadSpec = Value;
-    } else if (match("--machine", Value)) {
+    } else if (matchFlag(Args, I, "--machine", &Value)) {
       Opts.MachineSpec = Value;
-    } else if (match("--strategy", Value)) {
+    } else if (matchFlag(Args, I, "--strategy", &Value)) {
       Opts.Strategy = Value;
-    } else if (match("--scale", Value)) {
-      Opts.Scale = parseDoubleFlagOrDie("--scale", Value);
+    } else if (matchFlag(Args, I, "--scale", &Value)) {
+      Opts.Scale = parseFiniteDoubleOrDie("--scale", Value);
       if (!(Opts.Scale > 0.0))
-        reportFatalError("--scale must be positive");
-    } else if (match("--concurrency", Value)) {
+        reportUsageError("--scale must be positive");
+    } else if (matchFlag(Args, I, "--concurrency", &Value)) {
       Opts.Concurrency = parseUint64OrDie("--concurrency", Value,
                                           /*Max=*/4096);
       if (Opts.Concurrency == 0)
-        reportFatalError("--concurrency must be at least 1");
-    } else if (match("--requests", Value)) {
+        reportUsageError("--concurrency must be at least 1");
+    } else if (matchFlag(Args, I, "--requests", &Value)) {
       Opts.Requests = parseUint64OrDie("--requests", Value);
-    } else if (match("--mix", Value)) {
+    } else if (matchFlag(Args, I, "--mix", &Value)) {
       std::size_t Colon = Value.find(':');
       if (Colon == std::string::npos)
-        reportFatalError("--mix wants WARM:COLD, e.g. --mix 9:1");
+        reportUsageError("--mix wants WARM:COLD, e.g. --mix 9:1");
       Opts.MixWarm = parseUint64OrDie("--mix (warm)", Value.substr(0, Colon));
       Opts.MixCold = parseUint64OrDie("--mix (cold)", Value.substr(Colon + 1));
       if (Opts.MixWarm + Opts.MixCold == 0)
-        reportFatalError("--mix needs a nonzero warm:cold ratio");
-    } else if (match("--emit-json", Value)) {
+        reportUsageError("--mix needs a nonzero warm:cold ratio");
+    } else if (matchFlag(Args, I, "--emit-json", &Value)) {
       Opts.EmitJsonPath = Value;
-    } else if (match("--dump-response", Value)) {
+    } else if (matchFlag(Args, I, "--dump-response", &Value)) {
       Opts.DumpResponsePath = Value;
-    } else if (match("--client", Value)) {
+    } else if (matchFlag(Args, I, "--client", &Value)) {
       Opts.ClientName = Value;
     } else {
-      reportFatalError(("unknown `cta client` flag '" + Arg + "'").c_str());
+      reportUsageError("unknown `cta client` flag '" + Arg + "'");
     }
   }
   if (Opts.SocketPath.empty())
-    reportFatalError("`cta client` needs --socket=PATH");
+    reportUsageError("`cta client` needs --socket=PATH");
   return Opts;
 }
 
@@ -206,32 +165,6 @@ std::string renderRequest(const ClientOptions &Opts, const RequestTemplate &T,
 //===----------------------------------------------------------------------===//
 // Transport
 //===----------------------------------------------------------------------===//
-
-int connectToDaemon(const std::string &Path, std::string *Err) {
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    if (Err)
-      *Err = "socket path too long: " + Path;
-    return -1;
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    if (Err)
-      *Err = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
-  if (::connect(Fd, reinterpret_cast<const sockaddr *>(&Addr),
-                sizeof(Addr)) != 0) {
-    if (Err)
-      *Err = "connect " + Path + ": " + std::strerror(errno);
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
 
 /// One synchronous round-trip. Returns false on transport failure.
 bool roundTrip(int Fd, const std::string &Request, std::string &Response,

@@ -57,7 +57,8 @@ struct ClientOptions {
 /// Parses `cta client` arguments (--socket, --workload, --machine,
 /// --strategy, --scale, --concurrency, --requests, --mix W:C,
 /// --emit-json, --dump-response, --client). Numeric flags use the strict
-/// support/ParseNumber parsing and abort on garbage or overflow.
+/// support/ParseNumber parsing; a malformed value or unknown flag is a
+/// usage error (support/CommandLine.h): the message names it, exit 1.
 ClientOptions parseClientArgs(const std::vector<std::string> &Args);
 
 /// Runs the load. Returns the process exit code: 0 when every round-trip

@@ -16,6 +16,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 using namespace cta;
@@ -109,6 +111,28 @@ bool cta::serve::writeFrame(int Fd, const std::string &Payload,
     return false;
   }
   return true;
+}
+
+int cta::serve::connectToDaemon(const std::string &Path, std::string *Err) {
+  sockaddr_un Addr = {};
+  Addr.sun_family = AF_UNIX;
+  if (Path.size() >= sizeof(Addr.sun_path)) {
+    setErr(Err, "socket path too long: " + Path);
+    return -1;
+  }
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (Fd < 0) {
+    setErr(Err, std::string("socket: ") + std::strerror(errno));
+    return -1;
+  }
+  if (::connect(Fd, reinterpret_cast<const sockaddr *>(&Addr),
+                sizeof(Addr)) != 0) {
+    setErr(Err, "connect " + Path + ": " + std::strerror(errno));
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
 }
 
 //===----------------------------------------------------------------------===//

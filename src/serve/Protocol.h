@@ -96,6 +96,10 @@ FrameStatus readFrame(int Fd, std::string &Payload, std::string *Err);
 /// (including a payload above MaxFrameBytes, which is a caller bug).
 bool writeFrame(int Fd, const std::string &Payload, std::string *Err);
 
+/// Connects a close-on-exec stream socket to the daemon listening on the
+/// Unix socket \p Path. Returns its fd, or -1 with \p Err set.
+int connectToDaemon(const std::string &Path, std::string *Err);
+
 //===----------------------------------------------------------------------===//
 // Requests
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,7 @@
 #include "serve/Json.h"
 #include "serve/Metrics.h"
 #include "serve/Shutdown.h"
-#include "support/ErrorHandling.h"
+#include "support/CommandLine.h"
 #include "support/ParseNumber.h"
 
 #include <cerrno>
@@ -65,74 +65,34 @@ ServerOptions cta::serve::parseServeArgs(const std::vector<std::string> &Args) {
     if (isServeExecFlag(F))
       if (const char *Env = std::getenv(F.Env))
         F.Set(Exec, F.Env, Env);
-  std::vector<char *> Argv; // Args as matchExecFlag reads them
-  for (const std::string &Arg : Args)
-    Argv.push_back(const_cast<char *>(Arg.c_str()));
-  const int Argc = static_cast<int>(Argv.size());
 
   ServerOptions Opts;
-  for (int I = 0; I != Argc; ++I) {
+  for (std::size_t I = 0; I != Args.size(); ++I) {
     const std::string &Arg = Args[I];
-    auto unknownFlag = [&] {
-      reportFatalError(
-          ("unknown `cta serve` flag '" + Arg + "'").c_str());
-    };
-    const char *ExecValue = nullptr;
-    if (const ExecFlag *F = matchExecFlag(Argc, Argv.data(), I, ExecValue)) {
-      if (!isServeExecFlag(*F))
-        unknownFlag();
-      if (ExecValue == nullptr)
-        reportFatalError((std::string(F->Name) + " needs a value").c_str());
-      F->Set(Exec, F->Name, ExecValue);
-      continue;
-    }
-    auto value = [&](const char *Flag) -> const std::string & {
-      if (I + 1 >= Argc)
-        reportFatalError((std::string(Flag) + " needs a value").c_str());
-      return Args[++I];
-    };
-    auto match = [&](const char *Flag, std::string &Out) {
-      std::size_t Len = std::strlen(Flag);
-      if (Arg == Flag) {
-        Out = value(Flag);
-        return true;
-      }
-      if (Arg.compare(0, Len, Flag) == 0 && Arg.size() > Len &&
-          Arg[Len] == '=') {
-        Out = Arg.substr(Len + 1);
-        return true;
-      }
-      return false;
-    };
     std::string Value;
-    if (match("--socket", Value)) {
+    if (const ExecFlag *F = matchExecFlag(Args, I, Value)) {
+      if (!isServeExecFlag(*F))
+        reportUsageError("unknown `cta serve` flag '" + Arg + "'");
+      F->Set(Exec, F->Name, Value);
+    } else if (matchFlag(Args, I, "--socket", &Value)) {
       Opts.SocketPath = Value;
-    } else if (match("--max-inflight", Value)) {
-      Opts.MaxInflight = static_cast<std::size_t>(
-          parseUint64OrDie("--max-inflight", Value.c_str()));
-    } else if (match("--max-batch", Value)) {
-      Opts.MaxBatch = static_cast<std::size_t>(
-          parseUint64OrDie("--max-batch", Value.c_str()));
-      if (Opts.MaxBatch == 0)
-        reportFatalError("--max-batch must be at least 1");
-    } else if (match("--batch-window-ms", Value)) {
-      Opts.BatchWindowMs =
-          parseUint64OrDie("--batch-window-ms", Value.c_str(),
-                           /*Max=*/60 * 1000);
-    } else if (match("--metrics-port", Value)) {
+    } else if (matchFlag(Args, I, "--max-inflight", &Value)) {
+      Opts.MaxInflight =
+          static_cast<std::size_t>(parseUint64OrDie("--max-inflight", Value));
+    } else if (matchFlag(Args, I, "--metrics-port", &Value)) {
       Opts.MetricsEnabled = true;
       Opts.MetricsPort = static_cast<unsigned>(
-          parseUint64OrDie("--metrics-port", Value.c_str(), /*Max=*/65535));
-    } else if (match("--log-json", Value)) {
+          parseUint64OrDie("--metrics-port", Value, /*Max=*/65535));
+    } else if (matchFlag(Args, I, "--log-json", &Value)) {
       if (Value.empty())
-        reportFatalError("--log-json needs a file path");
+        reportUsageError("--log-json needs a file path");
       Opts.LogJsonPath = Value;
     } else {
-      unknownFlag();
+      reportUsageError("unknown `cta serve` flag '" + Arg + "'");
     }
   }
   if (Opts.SocketPath.empty())
-    reportFatalError("`cta serve` needs --socket=PATH");
+    reportUsageError("`cta serve` needs --socket=PATH");
   Opts.Jobs = Exec.Jobs;
   Opts.SimThreads = Exec.SimThreads;
   Opts.CacheDir = Exec.CacheDir;
@@ -145,6 +105,8 @@ ServerOptions cta::serve::parseServeArgs(const std::vector<std::string> &Args) {
 
 struct Server::Connection {
   int Fd = -1;
+  /// Runs readerLoop; joined by reapReaders() or at shutdown.
+  std::thread Reader;
   std::mutex WriteMutex;
   std::atomic<bool> ReadDone{false};
   std::atomic<std::uint64_t> PendingResponses{0};
@@ -314,6 +276,7 @@ void Server::run() {
     int R = ::poll(Fds, N, /*timeout_ms=*/500);
     if (R < 0 && errno != EINTR)
       break;
+    reapReaders();
     if (R <= 0)
       continue;
     if (!(Fds[0].revents & POLLIN))
@@ -325,11 +288,9 @@ void Server::run() {
     auto Conn = std::make_shared<Connection>();
     Conn->Fd = Fd;
     NumConnections.fetch_add(1);
-    {
-      std::lock_guard<std::mutex> Lock(ConnMutex);
-      Connections.push_back(Conn);
-      Readers.emplace_back([this, Conn] { readerLoop(Conn); });
-    }
+    Conn->Reader = std::thread([this, Conn] { readerLoop(Conn); });
+    std::lock_guard<std::mutex> Lock(ConnMutex);
+    Connections.push_back(std::move(Conn));
   }
 
   // Drain. Refuse new connections and new requests first...
@@ -358,10 +319,11 @@ void Server::run() {
     Metrics->stop(); // /healthz goes dark once serving has stopped
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (std::thread &T : Readers)
-      T.join();
-    for (const auto &Conn : Connections)
+    for (const auto &Conn : Connections) {
+      Conn->Reader.join();
       Conn->closeIfIdle();
+    }
+    Connections.clear();
   }
 
   ServerStats S = stats();
@@ -590,15 +552,25 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
   Conn->closeIfIdle();
 }
 
+void Server::reapReaders() {
+  std::lock_guard<std::mutex> Lock(ConnMutex);
+  std::erase_if(Connections, [](const std::shared_ptr<Connection> &Conn) {
+    if (!Conn->ReadDone.load(std::memory_order_acquire))
+      return false;
+    Conn->Reader.join(); // its loop has returned or is about to
+    return true;
+  });
+}
+
+std::size_t Server::readerCount() const {
+  std::lock_guard<std::mutex> Lock(ConnMutex);
+  return Connections.size();
+}
+
 void Server::dispatcherLoop() {
-  while (true) {
-    std::vector<AdmissionController::Item> Batch = Admission.nextBatch(
-        Opts.MaxBatch, std::chrono::milliseconds(Opts.BatchWindowMs));
-    if (Batch.empty())
-      return; // closed and drained
-    for (AdmissionController::Item &Dispatch : Batch)
-      Dispatch();
-  }
+  // An empty item means admission is closed and drained.
+  while (AdmissionController::Item Dispatch = Admission.next())
+    Dispatch();
 }
 
 void Server::completerLoop() {

@@ -144,7 +144,7 @@ public:
   std::shared_ptr<const TaskOutcome> lookupWarm(std::uint64_t Key) const;
 
   /// The cache key of \p Task (exposed so callers can correlate warm-index
-  /// state and batcher coalescing with tasks).
+  /// state and single-flight coalescing with tasks).
   static std::uint64_t fingerprint(const RunTask &Task);
 
   /// Submits one task; never blocks on simulation (the returned future

@@ -4,18 +4,14 @@
 
 #include "serve/Json.h"
 #include "serve/Protocol.h"
-#include "support/ErrorHandling.h"
+#include "support/CommandLine.h"
 #include "support/ParseNumber.h"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
@@ -28,67 +24,28 @@ TopOptions cta::serve::parseTopArgs(const std::vector<std::string> &Args) {
   TopOptions Opts;
   for (std::size_t I = 0; I != Args.size(); ++I) {
     const std::string &Arg = Args[I];
-    auto value = [&](const char *Flag) -> const std::string & {
-      if (I + 1 >= Args.size())
-        reportFatalError((std::string(Flag) + " needs a value").c_str());
-      return Args[++I];
-    };
-    auto match = [&](const char *Flag, std::string &Out) {
-      std::size_t Len = std::strlen(Flag);
-      if (Arg == Flag) {
-        Out = value(Flag);
-        return true;
-      }
-      if (Arg.compare(0, Len, Flag) == 0 && Arg.size() > Len &&
-          Arg[Len] == '=') {
-        Out = Arg.substr(Len + 1);
-        return true;
-      }
-      return false;
-    };
     std::string Value;
-    if (Arg == "--once") {
+    if (matchFlag(Args, I, "--once")) {
       Opts.Once = true;
-    } else if (match("--socket", Value)) {
+    } else if (matchFlag(Args, I, "--socket", &Value)) {
       Opts.SocketPath = Value;
-    } else if (match("--interval-ms", Value)) {
+    } else if (matchFlag(Args, I, "--interval-ms", &Value)) {
       Opts.IntervalMs =
           parseUint64OrDie("--interval-ms", Value, /*Max=*/60 * 60 * 1000);
-    } else if (match("--count", Value)) {
+    } else if (matchFlag(Args, I, "--count", &Value)) {
       Opts.Count = parseUint64OrDie("--count", Value);
     } else {
-      reportFatalError(("unknown `cta top` flag '" + Arg + "'").c_str());
+      reportUsageError("unknown `cta top` flag '" + Arg + "'");
     }
   }
   if (Opts.SocketPath.empty())
-    reportFatalError("`cta top` needs --socket=PATH");
+    reportUsageError("`cta top` needs --socket=PATH");
   if (Opts.Once)
     Opts.Count = 1;
   return Opts;
 }
 
 namespace {
-
-int connectSocket(const std::string &Path, std::string &Err) {
-  sockaddr_un Addr = {};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    Err = "socket path too long: " + Path;
-    return -1;
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (Fd < 0) {
-    Err = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-    Err = "connect " + Path + ": " + std::strerror(errno);
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
 
 std::uint64_t counterOf(const JsonValue &Doc, const std::string &Name) {
   const JsonValue *Counters = Doc.get("counters");
@@ -268,7 +225,7 @@ void render(const JsonValue &Doc, const TopOptions &Opts,
 
 int cta::serve::runTop(const TopOptions &Opts) {
   std::string Err;
-  int Fd = connectSocket(Opts.SocketPath, Err);
+  int Fd = connectToDaemon(Opts.SocketPath, &Err);
   if (Fd < 0) {
     std::fprintf(stderr, "cta top: %s\n", Err.c_str());
     return 1;

@@ -37,7 +37,8 @@ struct TopOptions {
 };
 
 /// Parses `cta top` arguments: --socket=PATH (required), --interval-ms=N,
-/// --count=N, --once. Aborts on unknown flags.
+/// --count=N, --once. An unknown flag or malformed value is a usage
+/// error (support/CommandLine.h): the message names it, exit status 1.
 TopOptions parseTopArgs(const std::vector<std::string> &Args);
 
 /// Runs the dashboard loop. Returns the process exit code (non-zero when

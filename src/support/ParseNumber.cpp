@@ -2,7 +2,10 @@
 
 #include "support/ParseNumber.h"
 
-#include "support/ErrorHandling.h"
+#include "support/CommandLine.h"
+
+#include <charconv>
+#include <cmath>
 
 using namespace cta;
 
@@ -28,8 +31,26 @@ std::uint64_t cta::parseUint64OrDie(const char *What, const std::string &Text,
                                     std::uint64_t Max) {
   if (std::optional<std::uint64_t> V = parseUint64(Text, Max))
     return *V;
-  reportFatalError((std::string(What) + ": invalid numeric value '" + Text +
-                    "' (expected a decimal integer <= " +
-                    std::to_string(Max) + ")")
-                       .c_str());
+  reportUsageError(std::string(What) + ": invalid numeric value '" + Text +
+                   "' (expected a decimal integer <= " + std::to_string(Max) +
+                   ")");
+}
+
+std::optional<double> cta::parseFiniteDouble(const std::string &Text) {
+  // from_chars takes no leading whitespace or '+', and no hex in the
+  // general format; it reports out-of-range values instead of returning
+  // HUGE_VAL, but does read "inf" and "nan".
+  double Value = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Ec != std::errc() || Ptr != End || !std::isfinite(Value))
+    return std::nullopt;
+  return Value;
+}
+
+double cta::parseFiniteDoubleOrDie(const char *What, const std::string &Text) {
+  if (std::optional<double> V = parseFiniteDouble(Text))
+    return *V;
+  reportUsageError(std::string(What) + ": invalid numeric value '" + Text +
+                   "' (expected a finite decimal number)");
 }

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace cta;
@@ -496,11 +495,11 @@ TEST(AdmissionTest, RoundRobinAcrossClients) {
     push("b");
   push("c");
 
-  std::vector<AdmissionController::Item> Batch =
-      AC.nextBatch(/*MaxBatch=*/7, std::chrono::milliseconds(0));
-  ASSERT_EQ(Batch.size(), 7u);
-  for (AdmissionController::Item &Item : Batch)
+  for (int I = 0; I != 7; ++I) {
+    AdmissionController::Item Item = AC.next();
+    ASSERT_TRUE(Item);
     Item();
+  }
   // One item per client per round, in client order: a's flood cannot
   // starve b or c.
   EXPECT_EQ(Order, "abcabaa");
@@ -513,8 +512,7 @@ TEST(AdmissionTest, ShedsAboveMaxInflightUntilReleased) {
   EXPECT_EQ(AC.shedCount(), 1u);
   EXPECT_EQ(AC.inflight(), 1u);
   // The slot frees on release, not on dispatch.
-  auto Batch = AC.nextBatch(4, std::chrono::milliseconds(0));
-  ASSERT_EQ(Batch.size(), 1u);
+  ASSERT_TRUE(AC.next());
   EXPECT_EQ(AC.admit("x", [] {}), AdmissionController::Admit::Overloaded);
   AC.release(1);
   EXPECT_EQ(AC.admit("x", [] {}), AdmissionController::Admit::Admitted);
@@ -532,25 +530,12 @@ TEST(AdmissionTest, CloseRefusesNewWorkButDrainsQueued) {
             AdmissionController::Admit::Admitted);
   AC.close();
   EXPECT_EQ(AC.admit("x", [] {}), AdmissionController::Admit::Closed);
-  auto Batch = AC.nextBatch(4, std::chrono::milliseconds(0));
-  ASSERT_EQ(Batch.size(), 1u);
-  Batch[0]();
+  AdmissionController::Item Item = AC.next();
+  ASSERT_TRUE(Item);
+  Item();
   EXPECT_EQ(Ran, 1);
-  // Closed and drained: the empty batch that tells the dispatcher to exit.
-  EXPECT_TRUE(AC.nextBatch(4, std::chrono::milliseconds(0)).empty());
-}
-
-TEST(AdmissionTest, BatchWindowCollectsLateArrivals) {
-  AdmissionController AC(/*MaxInflight=*/10);
-  ASSERT_EQ(AC.admit("x", [] {}), AdmissionController::Admit::Admitted);
-  std::thread Late([&AC] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    AC.admit("x", [] {});
-  });
-  // A generous window: the late arrival must land in the same batch.
-  auto Batch = AC.nextBatch(4, std::chrono::milliseconds(2000));
-  Late.join();
-  EXPECT_EQ(Batch.size(), 2u);
+  // Closed and drained: the empty item that tells the dispatcher to exit.
+  EXPECT_FALSE(AC.next());
 }
 
 //===----------------------------------------------------------------------===//
@@ -616,13 +601,6 @@ TEST(ServeFlagsDeathTest, StrictNumericParsing) {
                "--max-inflight");
   EXPECT_DEATH(parseServeArgs({"--socket", "s", "--max-inflight", "-1"}),
                "--max-inflight");
-  EXPECT_DEATH(parseServeArgs({"--socket", "s", "--batch-window-ms", "1e3"}),
-               "--batch-window-ms");
-  EXPECT_DEATH(
-      parseServeArgs({"--socket", "s", "--batch-window-ms", "999999999"}),
-      "--batch-window-ms");
-  EXPECT_DEATH(parseServeArgs({"--socket", "s", "--max-batch", "0"}),
-               "--max-batch");
   EXPECT_DEATH(parseServeArgs({}), "--socket");
   EXPECT_DEATH(parseServeArgs({"--socket", "s", "--bogus"}), "bogus");
   // Removed flags are unknown flags, not silently ignored ones.
@@ -742,23 +720,6 @@ TEST(ClientFlagsTest, ParsesTheFullSurface) {
 // End-to-end daemon
 //===----------------------------------------------------------------------===//
 
-int connectTo(const std::string &Path) {
-  sockaddr_un Addr = {};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path))
-    return -1;
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  if (::connect(Fd, reinterpret_cast<const sockaddr *>(&Addr),
-                sizeof(Addr)) != 0) {
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
-
 /// Sends one frame and returns the response frame's bytes.
 std::string sendRecvRaw(int Fd, const std::string &Request) {
   std::string Err;
@@ -824,7 +785,7 @@ protected:
 
 TEST_F(ServerTest, ColdThenWarmThenErrorsStayInBand) {
   startDaemon();
-  int Fd = connectTo(socketPath());
+  int Fd = connectToDaemon(socketPath(), nullptr);
   ASSERT_GE(Fd, 0);
 
   // Cold request: a miss, with a full run artifact.
@@ -877,7 +838,7 @@ TEST_F(ServerTest, ColdThenWarmThenErrorsStayInBand) {
 
 TEST_F(ServerTest, ServerLatencySplitAgreesWithClientWall) {
   startDaemon();
-  int Fd = connectTo(socketPath());
+  int Fd = connectToDaemon(socketPath(), nullptr);
   ASSERT_GE(Fd, 0);
 
   // The response's server-side queue/service attribution must agree with
@@ -912,7 +873,7 @@ TEST_F(ServerTest, ServerLatencySplitAgreesWithClientWall) {
 
 TEST_F(ServerTest, ZeroCapacityShedsWithTypedOverload) {
   startDaemon(/*MaxInflight=*/0);
-  int Fd = connectTo(socketPath());
+  int Fd = connectToDaemon(socketPath(), nullptr);
   ASSERT_GE(Fd, 0);
   JsonValue Resp = sendRecv(Fd, minimalRequest(",\"id\":\"r1\""));
   EXPECT_EQ(Resp.get("status")->asString(), "error");
@@ -922,7 +883,7 @@ TEST_F(ServerTest, ZeroCapacityShedsWithTypedOverload) {
 
 TEST_F(ServerTest, GracefulStopDrainsAndUnlinksSocket) {
   startDaemon();
-  int Fd = connectTo(socketPath());
+  int Fd = connectToDaemon(socketPath(), nullptr);
   ASSERT_GE(Fd, 0);
   JsonValue Resp = sendRecv(Fd, minimalRequest(",\"id\":\"r1\""));
   EXPECT_EQ(Resp.get("status")->asString(), "ok");
@@ -943,7 +904,7 @@ TEST_F(ServerTest, ConcurrentClientsAllGetAnswers) {
   std::vector<std::thread> Clients;
   for (unsigned C = 0; C != NumClients; ++C)
     Clients.emplace_back([&, C] {
-      int Fd = connectTo(socketPath());
+      int Fd = connectToDaemon(socketPath(), nullptr);
       if (Fd < 0)
         return;
       for (unsigned I = 0; I != PerClient; ++I) {
@@ -961,6 +922,30 @@ TEST_F(ServerTest, ConcurrentClientsAllGetAnswers) {
   EXPECT_EQ(OkCount.load(), NumClients * PerClient);
   // All clients asked for the same spec: exactly one simulator run.
   EXPECT_EQ(Daemon->service().simulatorInvocations(), 1u);
+}
+
+TEST_F(ServerTest, FinishedReadersAreJoined) {
+  startDaemon();
+  // One connection stays open throughout: its reader must survive.
+  int Held = connectToDaemon(socketPath(), nullptr);
+  ASSERT_GE(Held, 0);
+  const std::string Stats = "{\"schema\":\"cta-serve-stats-v1\"}";
+  for (int I = 0; I != 50; ++I) {
+    int Fd = connectToDaemon(socketPath(), nullptr);
+    ASSERT_GE(Fd, 0);
+    EXPECT_TRUE(sendRecv(Fd, Stats).isObject());
+    ::close(Fd);
+  }
+  // The accept loop reaps each time it wakes, at least every 500 ms.
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (Daemon->readerCount() > 1 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_LE(Daemon->readerCount(), 1u);
+  EXPECT_EQ(Daemon->stats().Connections, 51u);
+  EXPECT_TRUE(sendRecv(Held, Stats).isObject());
+  ::close(Held);
 }
 
 /// The run object a warm answer to \p Request carries, rendered from the
@@ -993,7 +978,7 @@ std::uint64_t memoCounter(Server &Daemon, const std::string &Name) {
 
 TEST_F(ServerTest, RepeatedWarmRequestsAnswerFromTheMemo) {
   startDaemon();
-  int Fd = connectTo(socketPath());
+  int Fd = connectToDaemon(socketPath(), nullptr);
   ASSERT_GE(Fd, 0);
   // One spec, sent under a different id, client and dsl_name each time.
   auto send = [&](const std::string &N) {
@@ -1043,7 +1028,7 @@ TEST_F(ServerTest, RepeatedWarmRequestsAnswerFromTheMemo) {
 
 TEST_F(ServerTest, CommentVariantsStayWithinTheMemoBudget) {
   startDaemon();
-  int Fd = connectTo(socketPath());
+  int Fd = connectToDaemon(socketPath(), nullptr);
   ASSERT_GE(Fd, 0);
   // .topo texts that differ only in a comment share one fingerprint but
   // not one memo key. Each comment holds over a fifth of the budget, so

@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - support library unit tests ----------------===//
 
 #include "support/BitVector.h"
+#include "support/CommandLine.h"
 #include "support/Diag.h"
 #include "support/ParseNumber.h"
 #include "support/Random.h"
@@ -8,6 +9,9 @@
 #include "support/Table.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 using namespace cta;
 
@@ -117,10 +121,75 @@ TEST(ParseNumber, RejectsOverflowAndAboveMax) {
   EXPECT_EQ(parseUint64("100", 100), std::optional<std::uint64_t>(100));
 }
 
+TEST(ParseNumber, FiniteDoublesOnly) {
+  EXPECT_EQ(parseFiniteDouble("0.5"), std::optional<double>(0.5));
+  EXPECT_EQ(parseFiniteDouble("3.125e-2"), std::optional<double>(0.03125));
+  EXPECT_EQ(parseFiniteDouble("-2"), std::optional<double>(-2.0));
+  for (const char *Bad : {"", "inf", "-inf", "nan", "1e999", "0.5x", " 0.5",
+                          "+0.5", "0x1p-5"})
+    EXPECT_FALSE(parseFiniteDouble(Bad)) << Bad;
+}
+
 TEST(ParseNumberDeathTest, OrDieNamesTheSetting) {
   EXPECT_EQ(parseUint64OrDie("--jobs", "6"), 6u);
   EXPECT_DEATH(parseUint64OrDie("CTA_TRACE_CACHE_BYTES", "1MB"),
                "CTA_TRACE_CACHE_BYTES");
+  // A rejected value is a usage error: exit status 1, not an abort.
+  EXPECT_EXIT(parseUint64OrDie("--block-size", "-1"),
+              ::testing::ExitedWithCode(1), "--block-size");
+  EXPECT_DOUBLE_EQ(parseFiniteDoubleOrDie("--alpha", "0.25"), 0.25);
+  EXPECT_EXIT(parseFiniteDoubleOrDie("--alpha", "nan"),
+              ::testing::ExitedWithCode(1), "--alpha");
+}
+
+TEST(CommandLine, MatchesBothValueFormsAndBareFlags) {
+  const std::vector<std::string> Args = {"--jobs=3", "--jobs", "4",
+                                         "--once",   "--log=",  "pos"};
+  std::string Value;
+  std::size_t I = 0;
+  EXPECT_TRUE(matchFlag(Args, I, "--jobs", &Value));
+  EXPECT_EQ(Value, "3");
+  EXPECT_EQ(I, 0u);
+  I = 1;
+  EXPECT_TRUE(matchFlag(Args, I, "--jobs", &Value));
+  EXPECT_EQ(Value, "4");
+  EXPECT_EQ(I, 2u); // past the separate value
+  I = 3;
+  EXPECT_TRUE(matchFlag(Args, I, "--once"));
+  EXPECT_EQ(I, 3u);
+  I = 4;
+  EXPECT_TRUE(matchFlag(Args, I, "--log", &Value));
+  EXPECT_EQ(Value, ""); // `=` with nothing after it is an empty value
+  I = 5;
+  EXPECT_FALSE(matchFlag(Args, I, "--jobs", &Value));
+  EXPECT_FALSE(matchFlag(Args, I, "--once"));
+  EXPECT_EQ(I, 5u);
+}
+
+TEST(CommandLine, RejectsPrefixesAndValuesOnBareFlags) {
+  const std::vector<std::string> Args = {"--jobsx", "--jobsx=5", "--once=1",
+                                         "--jo"};
+  std::string Value;
+  for (std::size_t I = 0; I != Args.size(); ++I) {
+    const std::size_t At = I;
+    EXPECT_FALSE(matchFlag(Args, I, "--jobs", &Value)) << Args[At];
+    EXPECT_FALSE(matchFlag(Args, I, "--once")) << Args[At];
+    EXPECT_EQ(I, At);
+  }
+}
+
+TEST(CommandLineDeathTest, UsageErrorsExitOne) {
+  const std::vector<std::string> Args = {"--socket", "s", "--jobs"};
+  std::size_t I = 2;
+  std::string Value;
+  EXPECT_EXIT(matchFlag(Args, I, "--jobs", &Value),
+              ::testing::ExitedWithCode(1), "--jobs needs a value");
+  EXPECT_EXIT(
+      {
+        setUsageText("usage: cta ...\n");
+        reportUsageError("bad flag");
+      },
+      ::testing::ExitedWithCode(1), "cta: error: bad flag\nusage: cta");
 }
 
 TEST(StringUtils, Formatting) {

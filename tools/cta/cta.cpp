@@ -31,7 +31,7 @@
 ///   cta serve --socket <path> [options]
 ///       Long-running mapping daemon on a Unix-domain socket: length-
 ///       prefixed JSON requests, warm answers from the in-memory result
-///       index, admission control + batching for cold simulator work.
+///       index, admission control for cold simulator work.
 ///       SIGINT/SIGTERM drains inflight requests and exits cleanly.
 ///
 ///   cta client --socket <path> [options]
@@ -62,8 +62,10 @@
 #include "sim/TraceExport.h"
 #include "sim/TraceLog.h"
 #include "sim/TraceReport.h"
+#include "support/CommandLine.h"
 #include "support/Diag.h"
 #include "support/Hashing.h"
+#include "support/ParseNumber.h"
 #include "topo/Parse.h"
 #include "topo/Presets.h"
 #include "workloads/Suite.h"
@@ -90,14 +92,14 @@ const char *UsageText =
     "  cta trace <file.cta|workload> --machine <preset|file.topo> [options]\n"
     "  cta check [--topo] <file>...\n"
     "  cta serve --socket <path> [--jobs N] [--sim-threads N] [--cache-dir P]\n"
-    "            [--max-inflight N] [--max-batch N] [--batch-window-ms N]\n"
-    "            [--metrics-port N] [--log-json P]\n"
+    "            [--max-inflight N] [--metrics-port N] [--log-json P]\n"
     "  cta client --socket <path> [--workload W] [--machine M]\n"
     "             [--strategy S] [--scale F] [--concurrency N]\n"
     "             [--requests N] [--mix WARM:COLD] [--emit-json P]\n"
     "             [--dump-response P] [--client NAME]\n"
     "  cta top --socket <path> [--interval-ms N] [--count N] [--once]\n"
     "  cta list\n"
+    "Every value flag takes `--name V` or `--name=V`.\n"
     "\n"
     "run/trace options:\n"
     "  --machine M      machine preset (see `cta list`) or .topo file;\n"
@@ -127,11 +129,6 @@ const char *UsageText =
     "                   bit-identical for every value\n"
     "  --jobs N, --cache-dir P, --no-timing   (exec/ flags, as in benches)\n";
 
-[[noreturn]] void usageError(const std::string &Msg) {
-  std::fprintf(stderr, "cta: error: %s\n%s", Msg.c_str(), UsageText);
-  std::exit(1);
-}
-
 bool readFile(const std::string &Path, std::string &Out) {
   std::ifstream In(Path, std::ios::binary);
   if (!In)
@@ -159,8 +156,8 @@ CacheTopology resolveMachine(const std::string &Spec, double Scale) {
     return makePresetByName(Spec).scaledCapacity(Scale);
   std::string Text;
   if (!readFile(Spec, Text))
-    usageError("'" + Spec +
-               "' is neither a machine preset nor a readable .topo file");
+    reportUsageError("'" + Spec +
+                     "' is neither a machine preset nor a readable .topo file");
   std::string Err;
   std::optional<CacheTopology> Topo = parseTopology(Spec, Text, &Err);
   if (!Topo) {
@@ -220,9 +217,9 @@ WorkloadInput loadWorkload(const std::string &Spec) {
   }
   if (isBuiltinWorkload(Spec))
     return {makeWorkload(Spec), 0, "builtin"};
-  usageError("'" + Spec +
-             "' is neither a readable .cta file nor a compiled-in workload "
-             "(see `cta list`)");
+  reportUsageError("'" + Spec +
+                   "' is neither a readable .cta file nor a compiled-in "
+                   "workload (see `cta list`)");
 }
 
 //===----------------------------------------------------------------------===//
@@ -267,16 +264,16 @@ int runList() {
 int runCheck(const std::vector<std::string> &Args) {
   bool TopoMode = false;
   std::vector<std::string> Files;
-  for (const std::string &Arg : Args) {
-    if (Arg == "--topo")
+  for (std::size_t I = 0; I != Args.size(); ++I) {
+    if (matchFlag(Args, I, "--topo"))
       TopoMode = true;
-    else if (Arg.rfind("--", 0) == 0)
-      usageError("unknown `cta check` flag '" + Arg + "'");
+    else if (Args[I].starts_with("--"))
+      reportUsageError("unknown `cta check` flag '" + Args[I] + "'");
     else
-      Files.push_back(Arg);
+      Files.push_back(Args[I]);
   }
   if (Files.empty())
-    usageError("`cta check` needs at least one file");
+    reportUsageError("`cta check` needs at least one file");
 
   int Failures = 0;
   for (const std::string &File : Files) {
@@ -309,42 +306,6 @@ int runCheck(const std::vector<std::string> &Args) {
 //===----------------------------------------------------------------------===//
 // cta run
 //===----------------------------------------------------------------------===//
-
-/// True when \p Arg is one of parseExecArgs' flags; \p I is advanced past
-/// the separate-value form so the main scanner does not mistake the value
-/// for a positional argument.
-bool isExecFlag(int argc, char **argv, int &I) {
-  const char *Value = nullptr;
-  const ExecFlag *F = matchExecFlag(argc, argv, I, Value);
-  if (F != nullptr && F->TakesValue && Value == nullptr)
-    usageError(std::string(F->Name) + " needs a value");
-  return F != nullptr;
-}
-
-double parseDoubleOrDie(const char *Flag, const std::string &Value) {
-  try {
-    std::size_t End = 0;
-    double V = std::stod(Value, &End);
-    if (End != Value.size())
-      throw std::invalid_argument(Value);
-    return V;
-  } catch (...) {
-    usageError(std::string(Flag) + " needs a number, got '" + Value + "'");
-  }
-}
-
-std::uint64_t parseUintOrDie(const char *Flag, const std::string &Value) {
-  try {
-    std::size_t End = 0;
-    unsigned long long V = std::stoull(Value, &End);
-    if (End != Value.size())
-      throw std::invalid_argument(Value);
-    return V;
-  } catch (...) {
-    usageError(std::string(Flag) + " needs a non-negative integer, got '" +
-               Value + "'");
-  }
-}
 
 /// Rejects a bad flag value with a caret diagnostic that points into the
 /// command line itself: the full argv (joined with single spaces) is the
@@ -403,57 +364,54 @@ int runRun(int argc, char **argv, const std::vector<std::string> &Args,
   std::string EmitTracePath;
   const char *Cmd = TraceMode ? "cta trace" : "cta run";
 
+  ExecConfig Config = execConfigFromEnv();
+  Config.BenchName = "cta";
   for (std::size_t I = 0; I != Args.size(); ++I) {
     const std::string &Arg = Args[I];
-    auto value = [&](const char *Flag) -> const std::string & {
-      if (I + 1 >= Args.size())
-        usageError(std::string(Flag) + " needs a value");
-      return Args[++I];
-    };
-    if (Arg == "--machine") {
-      MachineSpecs.push_back(value("--machine"));
-    } else if (Arg == "--runs-on") {
-      RunsOnSpec = value("--runs-on");
-    } else if (Arg == "--strategy") {
-      const std::string &Name = value("--strategy");
-      std::optional<Strategy> S = parseStrategy(Name);
+    std::string Value;
+    if (const ExecFlag *F = matchExecFlag(Args, I, Value)) {
+      F->Set(Config, F->Name, Value);
+    } else if (matchFlag(Args, I, "--machine", &Value)) {
+      MachineSpecs.push_back(Value);
+    } else if (matchFlag(Args, I, "--runs-on", &Value)) {
+      RunsOnSpec = Value;
+    } else if (matchFlag(Args, I, "--strategy", &Value)) {
+      std::optional<Strategy> S = parseStrategy(Value);
       if (!S)
-        usageError("unknown strategy '" + Name + "'");
+        reportUsageError("unknown strategy '" + Value + "'");
       Strat = *S;
       StratExplicit = true;
-    } else if (Arg == "--scale") {
-      Scale = parseDoubleOrDie("--scale", value("--scale"));
+    } else if (matchFlag(Args, I, "--scale", &Value)) {
+      Scale = parseFiniteDoubleOrDie("--scale", Value);
       if (!(Scale > 0.0))
-        usageError("--scale must be positive");
-    } else if (Arg == "--alpha") {
-      Opts.Alpha = parseDoubleOrDie("--alpha", value("--alpha"));
-    } else if (Arg == "--beta") {
-      Opts.Beta = parseDoubleOrDie("--beta", value("--beta"));
-    } else if (Arg == "--block-size") {
-      Opts.BlockSizeBytes = parseUintOrDie("--block-size",
-                                           value("--block-size"));
-    } else if (Arg == "--emit-code") {
+        reportUsageError("--scale must be positive");
+    } else if (matchFlag(Args, I, "--alpha", &Value)) {
+      Opts.Alpha = parseFiniteDoubleOrDie("--alpha", Value);
+    } else if (matchFlag(Args, I, "--beta", &Value)) {
+      Opts.Beta = parseFiniteDoubleOrDie("--beta", Value);
+    } else if (matchFlag(Args, I, "--block-size", &Value)) {
+      Opts.BlockSizeBytes = parseUint64OrDie("--block-size", Value);
+    } else if (matchFlag(Args, I, "--emit-code")) {
       EmitCode = true;
-    } else if (Arg == "--emit-trace") {
-      EmitTracePath = value("--emit-trace");
-    } else if (Arg.rfind("--emit-trace=", 0) == 0) {
-      EmitTracePath = Arg.substr(std::strlen("--emit-trace="));
-    } else if (Arg.rfind("--", 0) == 0) {
-      usageError("unknown `" + std::string(Cmd) + "` flag '" + Arg + "'");
+    } else if (matchFlag(Args, I, "--emit-trace", &Value)) {
+      EmitTracePath = Value;
+    } else if (Arg.starts_with("--")) {
+      reportUsageError("unknown `" + std::string(Cmd) + "` flag '" + Arg +
+                       "'");
     } else if (WorkloadSpec.empty()) {
       WorkloadSpec = Arg;
     } else {
-      usageError("unexpected argument '" + Arg + "'");
+      reportUsageError("unexpected argument '" + Arg + "'");
     }
   }
   if (WorkloadSpec.empty())
-    usageError("`" + std::string(Cmd) +
-               "` needs a workload (.cta file or suite name)");
+    reportUsageError("`" + std::string(Cmd) +
+                     "` needs a workload (.cta file or suite name)");
   if (MachineSpecs.empty())
-    usageError("`" + std::string(Cmd) + "` needs --machine");
+    reportUsageError("`" + std::string(Cmd) + "` needs --machine");
   if (!EmitTracePath.empty()) {
     if (MachineSpecs.size() != 1)
-      usageError("--emit-trace needs exactly one --machine");
+      reportUsageError("--emit-trace needs exactly one --machine");
     // Probe writability now, before potentially minutes of simulation.
     // Append mode leaves an existing file's contents alone if the run is
     // later interrupted.
@@ -463,16 +421,14 @@ int runRun(int argc, char **argv, const std::vector<std::string> &Args,
   }
 
   WorkloadInput Input = loadWorkload(WorkloadSpec);
-  ExecConfig Config = parseExecArgs(argc, argv);
-  Config.BenchName = "cta";
   if (Config.AdaptInterval != 0)
     Opts.AdaptInterval = Config.AdaptInterval;
   if (!Config.AdaptPolicy.empty()) {
     Strategy Wanted = Config.AdaptPolicy == "mw" ? Strategy::AdaptiveMW
                                                  : Strategy::AdaptiveGreedy;
     if (StratExplicit && Strat != Wanted)
-      usageError("--adapt-policy " + Config.AdaptPolicy +
-                 " conflicts with --strategy " + strategyName(Strat));
+      reportUsageError("--adapt-policy " + Config.AdaptPolicy +
+                       " conflicts with --strategy " + strategyName(Strat));
     Strat = Wanted;
   }
 
@@ -616,14 +572,8 @@ int main(int argc, char **argv) {
     std::printf("%s", UsageText);
     return 0;
   }
-  // Subcommand arguments, with parseExecArgs' flags filtered out so the
-  // subcommand parsers only see their own (run re-parses argv for them).
-  std::vector<std::string> Args;
-  for (int I = 2; I < argc; ++I) {
-    if ((Cmd == "run" || Cmd == "trace") && isExecFlag(argc, argv, I))
-      continue;
-    Args.push_back(argv[I]);
-  }
+  setUsageText(UsageText);
+  const std::vector<std::string> Args(argv + 2, argv + argc);
 
   if (Cmd == "list")
     return runList();
@@ -639,5 +589,5 @@ int main(int argc, char **argv) {
     return serve::runClient(serve::parseClientArgs(Args));
   if (Cmd == "top")
     return serve::runTop(serve::parseTopArgs(Args));
-  usageError("unknown subcommand '" + Cmd + "'");
+  reportUsageError("unknown subcommand '" + Cmd + "'");
 }
